@@ -40,6 +40,7 @@ from .guidance import (
     lac_loss,
     loco_loss,
     object_attention,
+    object_maps,
     ptc_loss,
     ptc_maps,
     schedule,

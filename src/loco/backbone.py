@@ -81,6 +81,10 @@ class BackboneConfig:
     ood_noise_gain: float = 5.5
     ood_slack: float = 1.5
 
+    def __post_init__(self):
+        if self.d != self.d_z:
+            raise ContractError(f"d={self.d} must equal d_z={self.d_z}")
+
     @property
     def q(self) -> int:
         return self.resolution * self.resolution
@@ -237,16 +241,10 @@ def cross_attention(tape: Tape, z: Var, tokens: TokenSet,
 
 
 def value_matrix(tokens: TokenSet, proj: ProjectionSet, d_z: int) -> np.ndarray:
-    """Token value vectors: the key projection padded/truncated to d_z."""
-    v = tokens.e @ proj.w_k  # (n, d)
-    n, d = v.shape
-    if d == d_z:
-        return v
-    if d > d_z:
-        return v[:, :d_z]
-    out = np.zeros((n, d_z))
-    out[:, :d] = v
-    return out
+    """Token value vectors, (n, d_z): the key projection of each token."""
+    if proj.d != d_z:
+        raise ShapeError(f"value width {proj.d} does not match d_z={d_z}")
+    return tokens.e @ proj.w_k
 
 
 def noise_scale(cfg: BackboneConfig, t: int) -> float:

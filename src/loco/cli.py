@@ -30,9 +30,9 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .evaluate import (DEFAULT_TAU, decode_labels, detect_regions,
-                       layout_metrics, run_benchmark)
-from .guidance import GuidanceConfig, GuidedRun, gradient_check, guided_sample
+from .evaluate import DEFAULT_TAU, _evaluate_run, run_benchmark
+from .guidance import (GuidanceConfig, GuidedRun, gradient_check, guided_sample,
+                       object_maps)
 from .layout import LayoutError, parse_layout
 from .suite import bundled_suite_dir, load_suite
 
@@ -41,8 +41,13 @@ __all__ = ["build_parser", "main", "write_pgm"]
 GRADCHECK_TOLERANCE = 1e-4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("LOCO_SEED", "0"))
+def _seed(args: argparse.Namespace) -> int:
+    """The master seed: ``--seed``, else ``LOCO_SEED``, else 0."""
+    source = "--seed" if args.seed is not None else "LOCO_SEED"
+    raw = str(args.seed) if args.seed is not None else os.environ.get(source, "0")
+    if not raw.isdecimal():
+        raise ContractError(f"{source} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,9 +144,7 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
                                  repr(bd.total)])
     written.append("losses.csv")
 
-    labels = decode_labels(run.final_attention, run.layout)
-    detections = detect_regions(labels)
-    metrics = layout_metrics(detections, run.layout, run.final_attention)
+    metrics, labels = _evaluate_run(run, DEFAULT_TAU)
     (out / "labels.json").write_text(json.dumps({
         "resolution": run.final_attention.resolution,
         "tau": DEFAULT_TAU,
@@ -152,12 +155,11 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
     attn = run.final_attention
     names = ["sot"] + [f"obj{i + 1}_{_slug(p.text)}"
                        for i, p in enumerate(run.layout.phrases)] + ["eot"]
-    grids = [attn.token_map(attn.sot_index)]
-    values = attn.values
     res = attn.resolution
-    for phrase in run.layout.phrases:
-        grids.append(values[:, list(phrase.span)].mean(axis=1).reshape(res, res))
-    grids.append(attn.token_map(attn.eot_index))
+    maps = object_maps(attn.values, run.layout)
+    grids = ([attn.token_map(attn.sot_index)]
+             + [m.reshape(res, res) for m in maps]
+             + [attn.token_map(attn.eot_index)])
     for name, grid in zip(names, grids):
         fname = f"heatmap_{name}.pgm"
         write_pgm(out / fname, grid)
@@ -192,7 +194,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ContractError("generate requires --layout FILE")
     layout = parse_layout(Path(args.layout).read_text())
     cfg = _guidance_config(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     run = guided_sample(layout, cfg, BackboneConfig(), seed)
     written = _write_generate_artifacts(run, args.out, seed, args.layout)
     print(f"wrote {len(written)} artifacts to {args.out}")
@@ -205,7 +207,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     suite_dir = args.layout if args.layout is not None else bundled_suite_dir()
     suite = load_suite(suite_dir)
     cfg = _guidance_config(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     seeds = list(range(seed, seed + args.seeds))
     sweep = None
     if args.gamma_sweep:
@@ -233,7 +235,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ContractError("gradcheck needs at least one instance")
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     modes = [True] if args.detach_norms else [False, True]
     rng = np.random.default_rng(seed)
     worst = 0.0

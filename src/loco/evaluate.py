@@ -16,12 +16,10 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .backbone import (AttentionMaps, BackboneConfig, Seeds,
-                       build_projections, cross_attention, embed_tokens,
-                       init_latent)
-from .diffmath import ContractError, Tape
-from .guidance import (GuidanceConfig, GuidedRun, guided_sample, loco_loss,
-                       schedule, update_latent)
+from .backbone import AttentionMaps, BackboneConfig
+from .diffmath import ContractError
+from .guidance import (GuidanceConfig, GuidedRun, _guided_step, _setup,
+                       guided_sample, object_maps)
 from .layout import BoundingBox, Layout, rasterize_box
 
 __all__ = [
@@ -78,15 +76,6 @@ class LayoutMetrics:
         return float(np.mean([o.iou for o in self.objects]))
 
 
-def _object_maps(attn: AttentionMaps, layout: Layout) -> np.ndarray:
-    """Phrase-aggregated maps, one row per object, shape (k, q)."""
-    values = attn.values
-    maps = np.zeros((layout.k, values.shape[0]))
-    for i, phrase in enumerate(layout.phrases):
-        maps[i] = values[:, list(phrase.span)].mean(axis=1)
-    return maps
-
-
 def decode_labels(attn: AttentionMaps, layout: Layout,
                   tau: float = DEFAULT_TAU) -> np.ndarray:
     """Cellwise argmax over max-rescaled object maps; background below tau.
@@ -96,7 +85,7 @@ def decode_labels(attn: AttentionMaps, layout: Layout,
     """
     if not 0.0 < tau < 1.0:
         raise ContractError(f"tau must lie in (0, 1), got {tau}")
-    maps = _object_maps(attn, layout)
+    maps = object_maps(attn.values, layout)
     peaks = np.maximum(maps.max(axis=1, keepdims=True), 1e-12)
     scaled = maps / peaks
     best = scaled.argmax(axis=0)
@@ -171,14 +160,20 @@ def layout_metrics(detections: Sequence[Detection], layout: Layout,
     """
     by_index = {d.index: d for d in detections}
     masks = [rasterize_box(b, attn.resolution) for b in layout.boxes]
-    maps = _object_maps(attn, layout)
+    maps = object_maps(attn.values, layout)
     flat_masks = np.stack([m.reshape(-1).astype(np.float64) for m in masks])
+    cross = tuple(
+        tuple(
+            float(np.sum(maps[i] * flat_masks[j]) / max(np.sum(maps[i]), 1e-12))
+            for j in range(layout.k)
+        )
+        for i in range(layout.k)
+    )
 
     objects = []
     for i, gt_box in enumerate(layout.boxes):
         det = by_index.get(i)
-        mass = maps[i]
-        inbox = float(np.sum(mass * flat_masks[i]) / max(np.sum(mass), 1e-12))
+        inbox = cross[i][i]
         if det is None:
             objects.append(ObjectScore(index=i, detected=False, iou=0.0,
                                        inbox_mass=inbox))
@@ -195,13 +190,6 @@ def layout_metrics(detections: Sequence[Detection], layout: Layout,
                 rel.kind, da.centroid, db.centroid):
             correct += 1
 
-    cross = tuple(
-        tuple(
-            float(np.sum(maps[i] * flat_masks[j]) / max(np.sum(maps[i]), 1e-12))
-            for j in range(layout.k)
-        )
-        for i in range(layout.k)
-    )
     return LayoutMetrics(objects=tuple(objects), all_correct=all_correct,
                          relations_total=len(layout.relations),
                          relations_correct=correct, cross_box_mass=cross)
@@ -219,26 +207,15 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
-    seeds = Seeds.from_master(seed)
-    tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
-    proj = build_projections(backbone, seeds.proj)
-    masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
+    _, tokens, proj, masks, state = _setup(layout, backbone, seed)
+    _, _, seen = _guided_step(state, 0, layout, masks, tokens, proj, backbone,
+                              cfg)
     flat = [m.reshape(-1).astype(np.float64) for m in masks]
-    state = init_latent(backbone, seeds.latent)
-    lam = schedule(0, cfg)
     values = []
-    for _ in range(cfg.iterations_per_step):
-        tape = Tape()
-        z = tape.leaf(state.z)
-        attn = cross_attention(tape, z, tokens, proj,
-                               resolution=backbone.resolution)
-        maps = _object_maps(attn, layout)
-        for i in range(layout.k):
-            for j in range(layout.k):
-                if i != j:
-                    values.append(float((maps[i] * flat[j]).sum()))
-        loss, _ = loco_loss(attn, layout, masks, cfg)
-        state = update_latent(state, tape.backward(loss)[z], cfg.gamma, lam)
+    for attn_values in seen:
+        maps = object_maps(attn_values, layout)
+        values += [float((maps[i] * flat[j]).sum())
+                   for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))
 
 
@@ -341,34 +318,26 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     """
     if not suite:
         raise ContractError("benchmark suite is empty")
-    records: list[dict] = []
-    for arm in arms:
-        acfg = arm_config(cfg, arm)
+    groups = [(arm, arm_config(cfg, arm)) for arm in arms]
+    groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
+               for gamma in gamma_sweep or ()]
+    records, sweep = [], []
+    for label, gcfg in groups:
+        group = []
         for name, layout in suite:
             for seed in seeds:
-                run = guided_sample(layout, acfg, backbone, seed)
+                run = guided_sample(layout, gcfg, backbone, seed)
                 metrics, _ = _evaluate_run(run, tau)
-                records.append(_record(name, seed, arm, acfg, run, metrics))
+                group.append(_record(name, seed, label, gcfg, run, metrics))
+        if label == "gamma_sweep":
+            sweep.append({"gamma": gcfg.gamma, **aggregate_records(group)})
+        else:
+            records += group
 
     aggregates = {
         arm: aggregate_records([r for r in records if r["arm"] == arm])
         for arm in arms
     }
-
-    sweep: list[dict] = []
-    for gamma in gamma_sweep or ():
-        gcfg = replace(cfg, gamma=float(gamma))
-        sweep_records = []
-        for name, layout in suite:
-            for seed in seeds:
-                run = guided_sample(layout, gcfg, backbone, seed)
-                metrics, _ = _evaluate_run(run, tau)
-                sweep_records.append(
-                    _record(name, seed, "gamma_sweep", gcfg, run, metrics))
-        entry = {"gamma": float(gamma)}
-        entry.update(aggregate_records(sweep_records))
-        sweep.append(entry)
-
     return BenchReport(config=cfg, backbone=backbone, seeds=tuple(seeds),
                        arms=tuple(arms), tau=tau, records=records,
                        aggregates=aggregates, gamma_sweep=sweep)

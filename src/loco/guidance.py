@@ -20,7 +20,8 @@ to the frozen denoiser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +44,7 @@ from .backbone import (
     value_matrix,
 )
 from .diffmath import ContractError, ShapeError, Tape, Var
-from .layout import Layout, Phrase, layout_from_dict, rasterize_box, union_mask
+from .layout import Layout, Phrase, layout_from_dict, rasterize_box
 
 __all__ = [
     "EPS",
@@ -60,6 +61,7 @@ __all__ = [
     "lac_loss",
     "loco_loss",
     "object_attention",
+    "object_maps",
     "ptc_loss",
     "ptc_maps",
     "relative_error",
@@ -92,6 +94,15 @@ class GuidanceConfig:
     ptc_target: str = "foreground"
 
     def __post_init__(self):
+        # Each field takes its default's type; a float field also takes an
+        # int, and only bool fields take a bool.
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            want = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, want):
+                raise ContractError(
+                    f"{f.name} must be {kind.__name__}, got {value!r}")
         if not self.gamma > 0:
             raise ContractError(f"gamma must be positive, got {self.gamma}")
         if self.alpha < 0:
@@ -139,39 +150,50 @@ class LossBreakdown:
     per_object_inbox_fraction: tuple[float, ...]
 
 
-def _selector(span: Sequence[int], n: int) -> np.ndarray:
-    """Column-averaging selector: A @ sel is the span's mean map, (q, 1)."""
-    sel = np.zeros((n, 1))
-    sel[list(span), 0] = 1.0 / len(span)
+def _phrase_selector(phrases: Sequence[Phrase], n: int) -> np.ndarray:
+    """Column-averaging phrase selector S, (n, k).
+
+    ``A @ S[:, i:i + 1]`` is phrase i's map: multi-token phrases aggregate
+    by elementwise mean, which keeps values inside (0, 1). Every span must
+    be non-empty and inside the content range of the n tokens. Column-major,
+    so each column slice is a contiguous (n, 1) view.
+    """
+    sel = np.zeros((n, len(phrases)), order="F")
+    for i, phrase in enumerate(phrases):
+        if not phrase.span:
+            raise ContractError(f"phrase {phrase.text!r} has an empty span")
+        if min(phrase.span) < 1 or max(phrase.span) > n - 2:
+            raise ContractError(
+                f"span {phrase.span} outside the content range of {n} tokens"
+            )
+        sel[list(phrase.span), i] = 1.0 / len(phrase.span)
     return sel
 
 
-def _token_column(attn: AttentionMaps, index: int) -> Var:
-    return dm.matmul(attn.a, attn.a.tape.constant(_selector((index,), attn.n)))
-
-
 def object_attention(attn: AttentionMaps, phrase: Phrase) -> Var:
-    """One object's attention map as a (q, 1) tape variable.
+    """One object's attention map as a (q, 1) tape variable."""
+    sel = _phrase_selector((phrase,), attn.n)
+    return dm.matmul(attn.a, attn.a.tape.constant(sel))
 
-    Multi-token phrases aggregate by elementwise mean, which keeps values
-    inside (0, 1).
+
+def object_maps(values: np.ndarray, layout: Layout) -> np.ndarray:
+    """Object maps off the tape, (k, q): row i is ``values @ S[:, i:i + 1]``.
+
+    That is the product ``lac_loss`` records, so the loss and the evaluation
+    see bit-identical maps; one (q, k) product can differ in the last bit.
     """
-    if not phrase.span:
-        raise ContractError(f"phrase {phrase.text!r} has an empty span")
-    if min(phrase.span) < 1 or max(phrase.span) > attn.n - 2:
-        raise ContractError(
-            f"span {phrase.span} outside the content range of {attn.n} tokens"
-        )
-    return dm.matmul(attn.a, attn.a.tape.constant(_selector(phrase.span, attn.n)))
+    sel = _phrase_selector(layout.phrases, values.shape[1])
+    return np.array([(values @ sel[:, i:i + 1])[:, 0] for i in range(layout.k)])
 
 
-def _flat_masks(masks: Sequence[np.ndarray], q: int) -> list[np.ndarray]:
-    out = []
-    for m in masks:
-        flat = np.asarray(m, dtype=np.float64).reshape(-1, 1)
+def _flat_masks(masks: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """Box masks as float rows, (k, q)."""
+    out = np.zeros((len(masks), q))
+    for i, m in enumerate(masks):
+        flat = np.asarray(m, dtype=np.float64).reshape(-1)
         if flat.shape[0] != q:
             raise ShapeError(f"mask has {flat.shape[0]} cells, expected {q}")
-        out.append(flat)
+        out[i] = flat
     return out
 
 
@@ -190,14 +212,14 @@ def lac_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
     if len(masks) != layout.k:
         raise ContractError(f"{len(masks)} masks for {layout.k} objects")
     tape = attn.a.tape
-    q = attn.values.shape[0]
-    flats = _flat_masks(masks, q)
+    flats = _flat_masks(masks, attn.values.shape[0])
+    sel = _phrase_selector(layout.phrases, attn.n)
 
     num = None
     den = None
-    for i, (phrase, flat) in enumerate(zip(layout.phrases, flats)):
-        a_i = object_attention(attn, phrase)
-        inbox = dm.total(a_i * tape.constant(flat))
+    for i, flat in enumerate(flats):
+        a_i = dm.matmul(attn.a, tape.constant(sel[:, i:i + 1]))
+        inbox = dm.total(a_i * tape.constant(flat[:, None]))
         everywhere = dm.total(a_i)
         if normalize:
             if frozen_norms is not None:
@@ -217,15 +239,14 @@ def lac_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
 def target_maps(attn_values: np.ndarray, layout: Layout,
                 masks: Sequence[np.ndarray]) -> TargetMaps:
     """Masked object maps and their cellwise-max foreground, off the tape."""
-    q, n = attn_values.shape
-    flats = _flat_masks(masks, q)
-    per_object = np.zeros((layout.k, q))
-    for i, (phrase, flat) in enumerate(zip(layout.phrases, flats)):
-        sel = _selector(phrase.span, n)
-        per_object[i] = (attn_values @ sel)[:, 0] * flat[:, 0]
-    foreground = per_object.max(axis=0)
-    union = union_mask([m for m in masks]).reshape(-1).astype(np.float64)
-    return TargetMaps(per_object=per_object, foreground=foreground, union=union)
+    maps = object_maps(attn_values, layout)
+    return _masked_targets(maps, _flat_masks(masks, maps.shape[1]))
+
+
+def _masked_targets(maps: np.ndarray, flats: np.ndarray) -> TargetMaps:
+    per_object = maps * flats
+    return TargetMaps(per_object=per_object, foreground=per_object.max(axis=0),
+                      union=(flats != 0).any(axis=0).astype(np.float64))
 
 
 def ptc_maps(attn: AttentionMaps, beta: float, detach_norms: bool = False,
@@ -239,8 +260,8 @@ def ptc_maps(attn: AttentionMaps, beta: float, detach_norms: bool = False,
     if not 0.0 <= beta <= 1.0:
         raise ContractError(f"beta must lie in [0, 1], got {beta}")
     tape = attn.a.tape
-    sot = _token_column(attn, attn.sot_index)
-    eot = _token_column(attn, attn.eot_index)
+    sot, eot = (dm.matmul(attn.a, tape.constant(np.eye(attn.n)[:, i:i + 1]))
+                for i in (attn.sot_index, attn.eot_index))
     inverted = 1.0 - sot
     if frozen_norms is not None:
         n_sot = tape.constant(frozen_norms[0])
@@ -271,14 +292,11 @@ def ptc_loss(a_pt: Var, target: np.ndarray) -> Var:
 def loss_norms(attn_values: np.ndarray, layout: Layout,
                sot_index: int, eot_index: int) -> FrozenNorms:
     """The loss chain's rescaling divisors, evaluated at given attention."""
-    q, n = attn_values.shape
-    lac = []
-    for phrase in layout.phrases:
-        a_i = attn_values @ _selector(phrase.span, n)
-        lac.append(max(float(a_i.max()), EPS))
+    lac = tuple(max(float(m.max()), EPS)
+                for m in object_maps(attn_values, layout))
     sot = max(float((1.0 - attn_values[:, sot_index]).max()), EPS)
     eot = max(float(attn_values[:, eot_index].max()), EPS)
-    return FrozenNorms(lac=tuple(lac), sot=sot, eot=eot)
+    return FrozenNorms(lac=lac, sot=sot, eot=eot)
 
 
 def loco_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
@@ -291,8 +309,10 @@ def loco_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
     rescaling divisors, which the finite-difference oracle needs when the
     divisors are detached.
     """
+    maps = object_maps(attn.values, layout)
+    flats = _flat_masks(masks, maps.shape[1])
     if target is None:
-        target = target_maps(attn.values, layout, masks)
+        target = _masked_targets(maps, flats)
     lac = lac_loss(attn, layout, masks, normalize=cfg.lac_normalize,
                    detach_norms=cfg.detach_norms,
                    frozen_norms=frozen_norms.lac if frozen_norms else None)
@@ -302,24 +322,14 @@ def loco_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
                     if frozen_norms else None)
     ptc = ptc_loss(a_pt, y)
     loss = lac + cfg.alpha * ptc
+    inbox = (maps * flats).sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
     breakdown = LossBreakdown(
         lac=float(lac.value),
         ptc=float(ptc.value),
         total=float(loss.value),
-        per_object_inbox_fraction=_inbox_fractions(attn.values, layout, masks),
+        per_object_inbox_fraction=tuple(map(float, inbox)),
     )
     return loss, breakdown
-
-
-def _inbox_fractions(attn_values: np.ndarray, layout: Layout,
-                     masks: Sequence[np.ndarray]) -> tuple[float, ...]:
-    q, n = attn_values.shape
-    flats = _flat_masks(masks, q)
-    out = []
-    for phrase, flat in zip(layout.phrases, flats):
-        a_i = (attn_values @ _selector(phrase.span, n))[:, 0]
-        out.append(float(np.sum(a_i * flat[:, 0]) / max(np.sum(a_i), EPS)))
-    return tuple(out)
 
 
 def schedule(step_index: int, cfg: GuidanceConfig) -> float:
@@ -378,6 +388,36 @@ def _extract(state: LatentState, tokens: TokenSet, proj: ProjectionSet,
     return tape, z, attn
 
 
+def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
+           ) -> tuple[Seeds, TokenSet, ProjectionSet, tuple[np.ndarray, ...],
+                      LatentState]:
+    """Seeds, embedded prompt, projections, box masks and the start latent."""
+    if isinstance(seeds, int):
+        seeds = Seeds.from_master(seeds)
+    tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
+    proj = build_projections(backbone, seeds.proj)
+    masks = tuple(rasterize_box(b, backbone.resolution) for b in layout.boxes)
+    return seeds, tokens, proj, masks, init_latent(backbone, seeds.latent)
+
+
+def _guided_step(state: LatentState, index: int, layout: Layout,
+                 masks: Sequence[np.ndarray], tokens: TokenSet,
+                 proj: ProjectionSet, backbone: BackboneConfig,
+                 cfg: GuidanceConfig
+                 ) -> tuple[LatentState, list[LossBreakdown], list[np.ndarray]]:
+    """Guided timestep ``index``: the updated latent, each iteration's loss
+    breakdown, and the attention values each iteration differentiated."""
+    lam = schedule(index, cfg)
+    losses, seen = [], []
+    for _ in range(cfg.iterations_per_step):
+        tape, z, attn = _extract(state, tokens, proj, backbone, True)
+        loss, breakdown = loco_loss(attn, layout, masks, cfg)
+        state = update_latent(state, tape.backward(loss)[z], cfg.gamma, lam)
+        losses.append(breakdown)
+        seen.append(attn.values)
+    return state, losses, seen
+
+
 def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
                   seeds: Seeds | int) -> GuidedRun:
     """Run the full trajectory: guided prefix, then plain denoising.
@@ -387,17 +427,12 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     ``cfg.iterations_per_step`` times before one denoise; the remaining
     timesteps denoise without guidance.
     """
-    if isinstance(seeds, int):
-        seeds = Seeds.from_master(seeds)
     if cfg.guided_steps > backbone.total_steps:
         raise ContractError(
             f"guided_steps={cfg.guided_steps} exceeds the "
             f"{backbone.total_steps}-step trajectory"
         )
-    tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
-    proj = build_projections(backbone, seeds.proj)
-    masks = tuple(rasterize_box(b, backbone.resolution) for b in layout.boxes)
-    state = init_latent(backbone, seeds.latent)
+    seeds, tokens, proj, masks, state = _setup(layout, backbone, seeds)
     e_v = value_matrix(tokens, proj, backbone.d_z)
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
 
@@ -406,13 +441,8 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
         guided = index < cfg.guided_steps
         losses: list[LossBreakdown] = []
         if guided:
-            lam = schedule(index, cfg)
-            for _ in range(cfg.iterations_per_step):
-                tape, z, attn = _extract(state, tokens, proj, backbone, True)
-                loss, breakdown = loco_loss(attn, layout, masks, cfg)
-                grads = tape.backward(loss)
-                state = update_latent(state, grads[z], cfg.gamma, lam)
-                losses.append(breakdown)
+            state, losses, _ = _guided_step(state, index, layout, masks, tokens,
+                                            proj, backbone, cfg)
         _, _, attn = _extract(state, tokens, proj, backbone, False)
         attn_values = attn.values
         expected = expected_latent_rms(backbone, index, value_rms)
@@ -488,10 +518,7 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
     backbone = BackboneConfig(resolution=resolution, d_e=8, d=8, d_z=8)
-    seeds = Seeds.from_master(seed)
-    tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
-    proj = build_projections(backbone, seeds.proj)
-    masks = [rasterize_box(b, resolution) for b in layout.boxes]
+    _, tokens, proj, masks, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
 
     def build_loss(z_value: np.ndarray, for_grad: bool,

@@ -132,13 +132,18 @@ def layout_from_dict(doc: dict) -> Layout:
             raise LayoutError(f"objects[{i}].phrase must be a non-empty string")
         box = obj.get("box")
         if (not isinstance(box, (list, tuple)) or len(box) != 4
-                or not all(isinstance(v, (int, float)) for v in box)):
+                or not all(isinstance(v, (int, float))
+                           and not isinstance(v, bool) for v in box)):
             raise LayoutError(f"objects[{i}].box must be [x0, y0, x1, y1]")
         try:
             boxes.append(BoundingBox(*map(float, box)))
         except LayoutError as err:
             raise LayoutError(f"objects[{i}].{err}") from None
-        phrases.append(Phrase(text=phrase, span=_resolve_span(words, phrase)))
+        span = _resolve_span(words, phrase)
+        if any(set(span) & set(p.span) for p in phrases):
+            raise LayoutError(f"objects[{i}].phrase {phrase!r} overlaps an "
+                              "earlier object's tokens in the prompt")
+        phrases.append(Phrase(text=phrase, span=span))
 
     relations: list[Relation] = []
     raw_relations = doc.get("relations", [])

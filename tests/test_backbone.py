@@ -111,17 +111,16 @@ def test_token_map_reshapes_column():
     assert np.array_equal(attn.token_map(1).reshape(-1), attn.values[:, 1])
 
 
-def test_value_matrix_pads_and_truncates():
+def test_value_width_must_match_latent_width():
+    with pytest.raises(ContractError):
+        BackboneConfig(d=CFG.d + 8)
+    with pytest.raises(ContractError):
+        BackboneConfig(d_z=CFG.d_z - 8)
     tokens = embed_tokens("cat dog", 1)
     proj = build_projections(CFG, 2)
-    full = value_matrix(tokens, proj, CFG.d)
-    assert full.shape == (4, CFG.d)
-    wide = value_matrix(tokens, proj, CFG.d + 8)
-    assert wide.shape == (4, CFG.d + 8)
-    assert np.array_equal(wide[:, :CFG.d], full)
-    assert np.all(wide[:, CFG.d:] == 0)
-    narrow = value_matrix(tokens, proj, CFG.d - 8)
-    assert np.array_equal(narrow, full[:, :CFG.d - 8])
+    assert value_matrix(tokens, proj, CFG.d_z).shape == (4, CFG.d_z)
+    with pytest.raises(ShapeError):
+        value_matrix(tokens, proj, CFG.d_z + 8)
 
 
 def _setup(seed=0):

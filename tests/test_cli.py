@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from loco.cli import main, write_pgm
-from loco.suite import BUNDLED_LAYOUTS
+from loco.suite import bundled_suite_dir
 
-TWO_OBJECT_DOC = BUNDLED_LAYOUTS["pair_cat_dog"]
+TWO_OBJECT_DOC = json.loads((bundled_suite_dir() / "pair_cat_dog.json").read_text())
 
 
 @pytest.fixture
@@ -107,12 +107,51 @@ def test_config_file_rejects_unknown_fields(layout_file, tmp_path, capsys):
     assert "gama" in capsys.readouterr().err
 
 
+def _assert_one_error_line(captured) -> None:
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("doc, field", [({"guided_steps": 2.5}, "guided_steps"),
+                                        ({"gamma": "30"}, "gamma"),
+                                        ({"detach_norms": 1}, "detach_norms")])
+def test_config_file_rejects_wrong_types(layout_file, tmp_path, capsys, doc,
+                                         field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["generate", "--layout", str(layout_file), "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert field in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    ([], "abc", "LOCO_SEED"),
+    ([], "-3", "LOCO_SEED"),
+])
+def test_bad_seed_is_one_error_line(layout_file, tmp_path, capsys, monkeypatch,
+                                    argv, env, source):
+    if env is not None:
+        monkeypatch.setenv("LOCO_SEED", env)
+    for command in (["generate", "--layout", str(layout_file),
+                     "--out", str(tmp_path / "o")], ["gradcheck"]):
+        assert main(command + argv) == 1
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert source in captured.err
+
+
 @pytest.fixture
 def small_suite_dir(tmp_path):
     suite_dir = tmp_path / "suite"
     suite_dir.mkdir()
     for name in ("pair_cat_dog", "fusion_cup_hat"):
-        (suite_dir / f"{name}.json").write_text(json.dumps(BUNDLED_LAYOUTS[name]))
+        (suite_dir / f"{name}.json").write_text(
+            (bundled_suite_dir() / f"{name}.json").read_text())
     return suite_dir
 
 

@@ -10,7 +10,7 @@ from loco.evaluate import (ARMS, aggregate_records, arm_config,
                            iou, layout_metrics, run_benchmark)
 from loco.guidance import GuidanceConfig
 from loco.layout import BoundingBox, parse_layout, rasterize_box
-from loco.suite import BUNDLED_LAYOUTS, bundled_suite_dir, load_suite
+from loco.suite import bundled_suite_dir, load_suite
 
 from oracles import connected_components
 
@@ -234,10 +234,9 @@ def test_cross_mass_probe_contracts():
     assert np.isfinite(value) and value > 0
 
 
-def _mini_suite():
-    docs = {k: BUNDLED_LAYOUTS[k] for k in ("pair_cat_dog", "fusion_cup_hat")}
-    from loco.layout import layout_from_dict
-    return [(name, layout_from_dict(doc)) for name, doc in docs.items()]
+def _mini_suite(names=("pair_cat_dog", "fusion_cup_hat")):
+    bundled = dict(load_suite(bundled_suite_dir()))
+    return [(name, bundled[name]) for name in names]
 
 
 def test_benchmark_report_structure_and_consistency():
@@ -271,9 +270,7 @@ def test_benchmark_report_matches_golden_file():
     deliberate format or calibration change."""
     from pathlib import Path
 
-    from loco.layout import layout_from_dict
-
-    suite = [("pair_cat_dog", layout_from_dict(BUNDLED_LAYOUTS["pair_cat_dog"]))]
+    suite = _mini_suite(("pair_cat_dog",))
     report = run_benchmark(suite, GuidanceConfig(), BackboneConfig(), seeds=[0])
     golden = Path(__file__).parent / "data" / "bench_mini_golden.json"
     assert report.to_json() + "\n" == golden.read_text()
@@ -287,3 +284,20 @@ def test_bundled_suite_composition():
     assert sum(name.startswith("fusion_") for name, _ in suite) >= 6
     assert sum(bool(layout.relations) for _, layout in suite) >= 8
     assert any(len(p.span) > 1 for _, layout in suite for p in layout.phrases)
+
+
+def test_traced_benchmark_has_one_sample_span_per_trajectory():
+    """The benchmark's layer trace rebinds ``evaluate.guided_sample``; every
+    arm and sweep point must reach it once per (layout, seed)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer() as tracer:
+        run_benchmark(_mini_suite(("pair_cat_dog",)), GuidanceConfig(),
+                      BackboneConfig(), seeds=[0], gamma_sweep=[5.0, 30.0])
+    calls, _ = tracer.self_times()["guidance.guided_sample"]
+    assert calls == len(ARMS) + 2

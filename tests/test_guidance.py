@@ -12,8 +12,8 @@ from loco.backbone import (AttentionMaps, BackboneConfig, Seeds,
 from loco.diffmath import ContractError, Tape
 from loco.guidance import (GuidanceConfig, gradient_check, guided_sample,
                            lac_loss, loco_loss, loss_norms, object_attention,
-                           ptc_loss, ptc_maps, schedule, target_maps,
-                           update_latent)
+                           object_maps, ptc_loss, ptc_maps, schedule,
+                           target_maps, update_latent)
 from loco.layout import Phrase, parse_layout, rasterize_box
 
 BCFG = BackboneConfig()
@@ -43,7 +43,10 @@ def uniform_attention(n, q=256):
 def test_config_validation():
     for bad in [dict(gamma=0.0), dict(alpha=-0.1), dict(beta=1.5),
                 dict(guided_steps=-1), dict(iterations_per_step=0),
-                dict(schedule_kind="sqrt"), dict(ptc_target="blend")]:
+                dict(schedule_kind="sqrt"), dict(ptc_target="blend"),
+                dict(gamma="30"), dict(guided_steps=2.5), dict(alpha=True),
+                dict(iterations_per_step=None), dict(detach_norms=1),
+                dict(schedule_kind=0)]:
         with pytest.raises(ContractError):
             GuidanceConfig(**bad)
 
@@ -77,6 +80,25 @@ def test_object_attention_multi_token_mean():
                                            values[:, 4], values[:, 5]]))
     got_same = object_attention(same, Phrase("x x", (1, 2)))
     assert np.allclose(got_same.value[:, 0], values[:, 1], atol=1e-15)
+
+
+def test_object_maps_match_tape_maps_bit_for_bit():
+    # A 3-token span: an elementwise mean over the columns differs from the
+    # selector product in the last bit, the selector product does not.
+    rng = np.random.default_rng(12)
+    values = rng.dirichlet(np.ones(8), size=256)
+    attn = make_attention(values)
+    layout = parse_layout("""{
+      "prompt": "a big red cat and dog",
+      "objects": [{"phrase": "big red cat", "box": [0.0, 0.0, 0.5, 1.0]},
+                  {"phrase": "dog", "box": [0.5, 0.0, 1.0, 1.0]}]
+    }""")
+    assert len(layout.phrases[0].span) == 3
+    maps = object_maps(values, layout)
+    assert maps.shape == (2, 256)
+    for i, phrase in enumerate(layout.phrases):
+        tape_map = object_attention(attn, phrase).value[:, 0]
+        assert np.array_equal(maps[i], tape_map)
 
 
 def _single_object_layout(box):

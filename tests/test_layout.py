@@ -93,6 +93,26 @@ def test_repeated_word_uses_first_occurrence():
     assert layout.phrases[0].span == (1,)
 
 
+@pytest.mark.parametrize("prompt, phrases", [("cat and cat", ["cat", "cat"]),
+                                             ("a red cat and a cat",
+                                              ["red cat", "cat"])])
+def test_parse_rejects_overlapping_spans(prompt, phrases):
+    # The second phrase resolves to the first occurrence of its tokens, which
+    # the first object already covers: one token would get two boxes.
+    doc = {"prompt": prompt,
+           "objects": [{"phrase": phrases[0], "box": [0.0, 0.0, 0.5, 1.0]},
+                       {"phrase": phrases[1], "box": [0.5, 0.0, 1.0, 1.0]}]}
+    with pytest.raises(LayoutError, match=r"objects\[1\]"):
+        parse_layout(json.dumps(doc))
+
+
+def test_parse_rejects_boolean_coordinates():
+    doc = {"prompt": "a cat", "objects": [{"phrase": "cat",
+                                           "box": [False, 0, True, 1]}]}
+    with pytest.raises(LayoutError, match="box"):
+        parse_layout(json.dumps(doc))
+
+
 def test_roundtrip_identity():
     doc = dict(TWO_OBJECTS, relations=[{"a": 0, "b": 1, "kind": "left"}])
     layout = parse_layout(json.dumps(doc))
