@@ -207,14 +207,12 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
-    _, tokens, proj, masks, state = _setup(layout, backbone, seed)
-    _, _, seen = _guided_step(state, 0, layout, masks, tokens, proj, backbone,
-                              cfg)
-    flat = [m.reshape(-1).astype(np.float64) for m in masks]
+    _, plan, state = _setup(layout, backbone, seed)
+    _, _, seen = _guided_step(state, 0, plan, cfg)
     values = []
     for attn_values in seen:
         maps = object_maps(attn_values, layout)
-        values += [float((maps[i] * flat[j]).sum())
+        values += [float((maps[i] * plan.flats[j]).sum())
                    for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))
 

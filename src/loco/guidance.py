@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, fields, replace
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -380,29 +381,196 @@ class GuidedRun:
         return [bd for step in self.steps for bd in step.losses]
 
 
-def _extract(state: LatentState, tokens: TokenSet, proj: ProjectionSet,
-             cfg: BackboneConfig, for_grad: bool) -> tuple[Tape, Var, AttentionMaps]:
+@dataclass(frozen=True)
+class _Plan:
+    """A run's constants: the prompt, projections and box masks, plus the
+    loss operands built from them once, so an iteration only touches z."""
+
+    tokens: TokenSet
+    proj: ProjectionSet
+    masks: tuple[np.ndarray, ...]
+    keys: np.ndarray  # (n, d): E @ W_k, as cross_attention builds it
+    sel: np.ndarray  # (n, k) phrase selector, column-major
+    flats: np.ndarray  # (k, q) box masks
+    union: np.ndarray  # (q,) OR of the box masks, the "mask" PTC target
+    pads: tuple[np.ndarray, np.ndarray]  # SoT and EoT columns of eye(n)
+
+
+def _extract(state: LatentState, plan: _Plan,
+             cfg: BackboneConfig) -> AttentionMaps:
+    """Attention at the current latent, off the gradient path."""
     tape = Tape()
-    z = tape.leaf(state.z) if for_grad else tape.constant(state.z)
-    attn = cross_attention(tape, z, tokens, proj, resolution=cfg.resolution)
-    return tape, z, attn
+    return cross_attention(tape, tape.constant(state.z), plan.tokens,
+                           plan.proj, resolution=cfg.resolution)
 
 
 def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
-           ) -> tuple[Seeds, TokenSet, ProjectionSet, tuple[np.ndarray, ...],
-                      LatentState]:
-    """Seeds, embedded prompt, projections, box masks and the start latent."""
+           ) -> tuple[Seeds, _Plan, LatentState]:
+    """Seeds, the run's constants and the start latent."""
     if isinstance(seeds, int):
         seeds = Seeds.from_master(seeds)
     tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
     proj = build_projections(backbone, seeds.proj)
     masks = tuple(rasterize_box(b, backbone.resolution) for b in layout.boxes)
-    return seeds, tokens, proj, masks, init_latent(backbone, seeds.latent)
+    flats = _flat_masks(masks, backbone.q)
+    eye = np.eye(tokens.n)
+    plan = _Plan(
+        tokens=tokens, proj=proj, masks=masks, keys=tokens.e @ proj.w_k,
+        sel=_phrase_selector(layout.phrases, tokens.n), flats=flats,
+        union=(flats != 0).any(axis=0).astype(np.float64),
+        pads=tuple(eye[:, i:i + 1] for i in (tokens.sot_index,
+                                              tokens.eot_index)))
+    return seeds, plan, init_latent(backbone, seeds.latent)
 
 
-def _guided_step(state: LatentState, index: int, layout: Layout,
-                 masks: Sequence[np.ndarray], tokens: TokenSet,
-                 proj: ProjectionSet, backbone: BackboneConfig,
+def _max_entry(x: np.ndarray):
+    """``max_norm`` then ``maximum(., EPS)``: the routing index of the max
+    entry, whether it beat EPS, and the floored value."""
+    idx = int(np.argmax(x))
+    top = x.reshape(-1)[idx]
+    won = top >= EPS
+    return idx, won, top if won else EPS
+
+
+def _one_hot(g, idx: int, shape: tuple[int, int]) -> np.ndarray:
+    """``max_norm``'s adjoint: g at the routing index, zeros elsewhere."""
+    full = np.zeros(shape[0] * shape[1])
+    full[idx] = g
+    return full.reshape(shape)
+
+
+def _loss_and_grad(plan: _Plan, z: np.ndarray, cfg: GuidanceConfig,
+                   target: TargetMaps | None = None,
+                   frozen_norms: FrozenNorms | None = None,
+                   with_grad: bool = True
+                   ) -> tuple[np.ndarray | None, LossBreakdown, np.ndarray]:
+    """``loco_loss`` at latent z and its gradient, in closed form.
+
+    Returns the gradient (None without ``with_grad``), the breakdown and the
+    attention values. It repeats the tape's forward and backward operation
+    by operation: the same numpy expressions on the same operand views, and
+    each adjoint summed in the tape's reverse node order. So all three are
+    bit-identical to ``cross_attention`` + ``loco_loss`` + ``Tape.backward``,
+    which stay as the oracle. ``target`` and ``frozen_norms`` act as in
+    ``loco_loss``.
+    """
+    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    normalize = cfg.lac_normalize
+    # Detached or frozen divisors are constants: no adjoint reaches them.
+    held = cfg.detach_norms or frozen_norms is not None
+    kt, w_q = plan.keys.T, plan.proj.w_q
+    scale = sqrt(w_q.shape[1])
+
+    # Cross-attention: row softmax of (z W_q) K^T / sqrt(d).
+    logits = ((z @ w_q) @ kt) / scale
+    logits = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    a = e / e.sum(axis=1, keepdims=True)
+
+    # lac: the in-box share of the (rescaled) object maps.
+    k = plan.sel.shape[1]
+    if k == 0:
+        raise ContractError("layout has no objects")
+    cols = [a @ plan.sel[:, i:i + 1] for i in range(k)]
+    flat_cols = [flat[:, None] for flat in plan.flats]
+    inbox = [np.sum(c * f) for c, f in zip(cols, flat_cols)]
+    every = [np.sum(c) for c in cols]
+    if not normalize:
+        num_terms, den_terms = inbox, every
+    else:
+        if frozen_norms is not None:
+            norms = [float(v) for v in frozen_norms.lac]
+        else:
+            peaks = [_max_entry(c) for c in cols]
+            norms = [norm for _, _, norm in peaks]
+        num_terms = [v / n for v, n in zip(inbox, norms)]
+        den_terms = [v / n for v, n in zip(every, norms)]
+    num, den = num_terms[0], den_terms[0]
+    for i in range(1, k):
+        num = num + num_terms[i]
+        den = den + den_terms[i]
+    den_won = den >= EPS
+    den_floor = den if den_won else EPS
+    short = 1.0 - num / den_floor
+    lac = short * short
+
+    # ptc: cross-entropy of the blended SoT-complement and EoT maps.
+    sot, eot = (a @ col for col in plan.pads)
+    inverted = 1.0 - sot
+    if frozen_norms is not None:
+        n_sot, n_eot = float(frozen_norms.sot), float(frozen_norms.eot)
+    else:
+        sot_idx, sot_won, n_sot = _max_entry(inverted)
+        eot_idx, eot_won, n_eot = _max_entry(eot)
+    a_pt = beta * (inverted / n_sot) + (1.0 - beta) * (eot / n_eot)
+    maps = np.array([c[:, 0] for c in cols])
+    masked = maps * plan.flats
+    if target is not None:
+        y = target.union if cfg.ptc_target == "mask" else target.foreground
+    else:
+        y = plan.union if cfg.ptc_target == "mask" else masked.max(axis=0)
+    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    if y.shape != a_pt.shape:
+        raise ShapeError(
+            f"target shape {y.shape} does not match map {a_pt.shape}")
+    decay = np.exp(-np.abs(a_pt))
+    s = np.where(a_pt >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
+    p = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    not_p, not_y = 1.0 - p, 1.0 - y
+    good = y * np.log(p) + not_y * np.log(not_p)
+    ptc = (0.0 - np.sum(good)) / float(a_pt.size)
+    total = lac + alpha * ptc
+
+    share = masked.sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
+    breakdown = LossBreakdown(lac=float(lac), ptc=float(ptc),
+                              total=float(total),
+                              per_object_inbox_fraction=tuple(map(float, share)))
+    if not with_grad:
+        return None, breakdown, a
+
+    # Backward through ptc; d total / d ptc = alpha, even when it is 0.
+    g_good = np.full(good.shape, float(-(alpha / float(a_pt.size))))
+    g_p = -((g_good * not_y) / not_p)
+    g_p = g_p + (g_good * y) / p
+    g_p = g_p * ((s >= BCE_CLAMP) & (s <= 1.0 - BCE_CLAMP))
+    g_pt = s * (1.0 - s) * g_p
+    g_term = g_pt * (1.0 - beta)
+    g_eot = g_term / n_eot
+    g_n_eot = np.sum(-g_term * eot / (n_eot * n_eot))
+    g_term = g_pt * beta
+    g_inv = g_term / n_sot
+    g_n_sot = np.sum(-g_term * inverted / (n_sot * n_sot))
+    if not held:
+        g_eot = g_eot + _one_hot(g_n_eot * eot_won, eot_idx, eot.shape)
+        g_inv = g_inv + _one_hot(g_n_sot * sot_won, sot_idx, inverted.shape)
+    g_a = g_eot @ plan.pads[1].T
+    g_a = g_a + (-g_inv) @ plan.pads[0].T
+
+    # Backward through lac, objects last to first.
+    g_ratio = -(2.0 * short)
+    g_num = g_ratio / den_floor
+    g_den = (-g_ratio * num / (den_floor * den_floor)) * den_won
+    for i in reversed(range(k)):
+        g_every, g_in = g_den, g_num
+        if normalize:
+            g_every, g_in = g_den / norms[i], g_num / norms[i]
+        g_col = np.full(cols[i].shape, float(g_every))
+        if normalize and not held:
+            norm = norms[i]
+            g_norm = -g_den * every[i] / (norm * norm)
+            g_norm = g_norm + -g_num * inbox[i] / (norm * norm)
+            idx, won, _ = peaks[i]
+            g_col = _one_hot(g_norm * won, idx, g_col.shape) + g_col
+        g_col = g_col + np.full(cols[i].shape, float(g_in)) * flat_cols[i]
+        g_a = g_a + g_col @ plan.sel[:, i:i + 1].T
+
+    # Backward through the softmax and both projections.
+    inner = (g_a * a).sum(axis=1, keepdims=True)
+    g_logits = a * (g_a - inner) / scale
+    return (g_logits @ kt.T) @ w_q.T, breakdown, a
+
+
+def _guided_step(state: LatentState, index: int, plan: _Plan,
                  cfg: GuidanceConfig
                  ) -> tuple[LatentState, list[LossBreakdown], list[np.ndarray]]:
     """Guided timestep ``index``: the updated latent, each iteration's loss
@@ -410,11 +578,10 @@ def _guided_step(state: LatentState, index: int, layout: Layout,
     lam = schedule(index, cfg)
     losses, seen = [], []
     for _ in range(cfg.iterations_per_step):
-        tape, z, attn = _extract(state, tokens, proj, backbone, True)
-        loss, breakdown = loco_loss(attn, layout, masks, cfg)
-        state = update_latent(state, tape.backward(loss)[z], cfg.gamma, lam)
+        grad, breakdown, values = _loss_and_grad(plan, state.z, cfg)
+        state = update_latent(state, grad, cfg.gamma, lam)
         losses.append(breakdown)
-        seen.append(attn.values)
+        seen.append(values)
     return state, losses, seen
 
 
@@ -432,31 +599,37 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
             f"guided_steps={cfg.guided_steps} exceeds the "
             f"{backbone.total_steps}-step trajectory"
         )
-    seeds, tokens, proj, masks, state = _setup(layout, backbone, seeds)
-    e_v = value_matrix(tokens, proj, backbone.d_z)
+    seeds, plan, state = _setup(layout, backbone, seeds)
+    e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
 
     steps: list[StepRecord] = []
-    for index in range(backbone.total_steps):
-        guided = index < cfg.guided_steps
-        losses: list[LossBreakdown] = []
-        if guided:
-            state, losses, _ = _guided_step(state, index, layout, masks, tokens,
-                                            proj, backbone, cfg)
-        _, _, attn = _extract(state, tokens, proj, backbone, False)
-        attn_values = attn.values
-        expected = expected_latent_rms(backbone, index, value_rms)
-        sigma_t = effective_noise(backbone, state.t, state.z, expected)
-        state = denoise_step(state, attn_values, tokens, proj, backbone.rho,
-                             sigma_t)
-        steps.append(StepRecord(index=index, t_after=state.t, guided=guided,
-                                losses=tuple(losses), attention=attn_values,
-                                z_after=state.z))
+    # A latent that overflows raises the error below instead of warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(backbone.total_steps):
+            guided = index < cfg.guided_steps
+            losses: list[LossBreakdown] = []
+            if guided:
+                state, losses, _ = _guided_step(state, index, plan, cfg)
+            attn_values = _extract(state, plan, backbone).values
+            expected = expected_latent_rms(backbone, index, value_rms)
+            sigma_t = effective_noise(backbone, state.t, state.z, expected)
+            state = denoise_step(state, attn_values, plan.tokens, plan.proj,
+                                 backbone.rho, sigma_t)
+            # Checked here, once per timestep: effective_noise cannot catch
+            # it, since max(0.0, nan) is 0.0.
+            if not np.isfinite(state.z).all():
+                raise ContractError(
+                    f"latent turned non-finite at timestep {index} "
+                    f"(t={state.t + 1}); gamma={cfg.gamma:g} is too large")
+            steps.append(StepRecord(index=index, t_after=state.t,
+                                    guided=guided, losses=tuple(losses),
+                                    attention=attn_values, z_after=state.z))
 
-    _, _, final_attn = _extract(state, tokens, proj, backbone, False)
     return GuidedRun(layout=layout, config=cfg, backbone=backbone, seeds=seeds,
-                     tokens=tokens, masks=masks, steps=tuple(steps),
-                     final_state=state, final_attention=final_attn)
+                     tokens=plan.tokens, masks=plan.masks, steps=tuple(steps),
+                     final_state=state,
+                     final_attention=_extract(state, plan, backbone))
 
 
 # ---------------------------------------------------------------------------
@@ -518,37 +691,30 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
     backbone = BackboneConfig(resolution=resolution, d_e=8, d=8, d_z=8)
-    _, tokens, proj, masks, _ = _setup(layout, backbone, seed)
+    _, plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
 
-    def build_loss(z_value: np.ndarray, for_grad: bool,
-                   target: TargetMaps | None,
-                   frozen: FrozenNorms | None):
-        tape = Tape()
-        z = tape.leaf(z_value) if for_grad else tape.constant(z_value)
-        attn = cross_attention(tape, z, tokens, proj, resolution=resolution)
-        loss, _ = loco_loss(attn, layout, masks, cfg, target=target,
-                            frozen_norms=frozen)
-        return tape, z, attn, loss
-
-    tape, z, attn, loss = build_loss(z0, True, None, None)
-    target = target_maps(attn.values, layout, masks)
-    frozen = (loss_norms(attn.values, layout, tokens.sot_index,
-                         tokens.eot_index) if detach_norms else None)
-    analytic = tape.backward(loss)[z].copy()
+    analytic, _, values = _loss_and_grad(plan, z0, cfg)
+    target = target_maps(values, layout, plan.masks)
+    frozen = (loss_norms(values, layout, plan.tokens.sot_index,
+                         plan.tokens.eot_index) if detach_norms else None)
     if corrupt:
         analytic[0, 0] += 1e-2
+
+    def loss_at(z: np.ndarray) -> float:
+        return _loss_and_grad(plan, z, cfg, target, frozen,
+                              with_grad=False)[1].total
 
     flat = z0.reshape(-1).copy()
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         kept = flat[i]
         flat[i] = kept + h
-        _, _, _, up = build_loss(flat.reshape(z0.shape), False, target, frozen)
+        up = loss_at(flat.reshape(z0.shape))
         flat[i] = kept - h
-        _, _, _, down = build_loss(flat.reshape(z0.shape), False, target, frozen)
+        down = loss_at(flat.reshape(z0.shape))
         flat[i] = kept
-        numeric[i] = (float(up.value) - float(down.value)) / (2.0 * h)
+        numeric[i] = (up - down) / (2.0 * h)
     numeric = numeric.reshape(z0.shape)
 
     gap = np.abs(analytic - numeric)

@@ -157,10 +157,10 @@ def layout_from_dict(doc: dict) -> Layout:
             raise LayoutError(
                 f"relations[{i}].kind must be one of {'|'.join(RELATION_KINDS)}"
             )
-        try:
-            a, b = int(rel["a"]), int(rel["b"])
-        except (KeyError, TypeError, ValueError):
-            raise LayoutError(f"relations[{i}] needs integer fields a and b") from None
+        a, b = rel.get("a"), rel.get("b")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (a, b)):
+            raise LayoutError(f"relations[{i}] needs integer fields a and b")
         if not (0 <= a < len(objects) and 0 <= b < len(objects)) or a == b:
             raise LayoutError(f"relations[{i}] indices out of range or equal")
         relations.append(Relation(a=a, b=b, kind=kind))

@@ -145,6 +145,30 @@ def test_bad_seed_is_one_error_line(layout_file, tmp_path, capsys, monkeypatch,
         assert source in captured.err
 
 
+def test_float_relation_index_is_one_error_line(tmp_path, capsys):
+    doc = dict(TWO_OBJECT_DOC, relations=[{"a": 0.9, "b": 1, "kind": "left"}])
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["generate", "--layout", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "relations[0]" in captured.err
+    assert not out.exists()
+
+
+def test_non_finite_latent_is_one_error_line(layout_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 1e300}))
+    out = tmp_path / "o"
+    assert main(["generate", "--layout", str(layout_file), "--out", str(out),
+                 "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "non-finite at timestep 0" in captured.err
+    assert not out.exists()
+
+
 @pytest.fixture
 def small_suite_dir(tmp_path):
     suite_dir = tmp_path / "suite"

@@ -10,11 +10,13 @@ from loco.backbone import (AttentionMaps, BackboneConfig, Seeds,
                            build_projections, cross_attention, embed_tokens,
                            init_latent)
 from loco.diffmath import ContractError, Tape
-from loco.guidance import (GuidanceConfig, gradient_check, guided_sample,
-                           lac_loss, loco_loss, loss_norms, object_attention,
-                           object_maps, ptc_loss, ptc_maps, schedule,
-                           target_maps, update_latent)
+from loco.evaluate import arm_config
+from loco.guidance import (GuidanceConfig, _loss_and_grad, _setup,
+                           gradient_check, guided_sample, lac_loss, loco_loss,
+                           loss_norms, object_attention, object_maps, ptc_loss,
+                           ptc_maps, schedule, target_maps, update_latent)
 from loco.layout import Phrase, parse_layout, rasterize_box
+from loco.suite import bundled_suite_dir, load_suite
 
 BCFG = BackboneConfig()
 
@@ -411,3 +413,92 @@ def test_gradient_check_negative_control():
 def test_gradient_check_rejects_large_latents():
     with pytest.raises(ContractError):
         gradient_check(0, resolution=32)
+
+
+def test_non_finite_latent_raises_naming_the_timestep():
+    layout = parse_layout((bundled_suite_dir() / "pair_cat_dog.json").read_text())
+    with pytest.raises(ContractError, match="non-finite at timestep 0"):
+        guided_sample(layout, GuidanceConfig(gamma=1e300), BCFG, 0)
+
+
+# ---------------------------------------------------------------------------
+# The closed-form gradient of the guided loop against the tape, bit for bit.
+
+def _tape_loss_and_grad(plan, z, layout, cfg, resolution=16, **overrides):
+    tape = Tape()
+    leaf = tape.leaf(z)
+    attn = cross_attention(tape, leaf, plan.tokens, plan.proj,
+                           resolution=resolution)
+    loss, breakdown = loco_loss(attn, layout, plan.masks, cfg, **overrides)
+    return tape.backward(loss)[leaf], breakdown, attn.values
+
+
+def _assert_tied(plan, z, layout, cfg, resolution=16, **overrides):
+    """Gradient, breakdown and attention equal the tape's exactly."""
+    want = _tape_loss_and_grad(plan, z, layout, cfg, resolution, **overrides)
+    grad, breakdown, values = _loss_and_grad(plan, z, cfg, **overrides)
+    assert np.array_equal(grad, want[0])
+    assert breakdown == want[1]
+    assert np.array_equal(values, want[2])
+    assert _loss_and_grad(plan, z, cfg, with_grad=False, **overrides)[1] == \
+        breakdown
+    return grad
+
+
+def _walk_tied(layout, seed, cfg, iterations=3):
+    """Tie the two gradients along the first iterations of a guided step."""
+    _, plan, state = _setup(layout, BCFG, seed)
+    for _ in range(iterations):
+        grad = _assert_tied(plan, state.z, layout, cfg)
+        state = update_latent(state, grad, cfg.gamma, schedule(0, cfg))
+
+
+TIE_CONFIGS = {
+    "lac_wo_norm": arm_config(GuidanceConfig(), "lac_wo_norm"),
+    "lac": arm_config(GuidanceConfig(), "lac"),
+    "lac_ptc": GuidanceConfig(),
+    "detach": GuidanceConfig(detach_norms=True),
+    "mask_target": GuidanceConfig(ptc_target="mask"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+def test_closed_form_gradient_is_the_tape_gradient_on_the_suite(name):
+    for _, layout in load_suite(bundled_suite_dir()):
+        for seed in (0, 1):
+            _walk_tied(layout, seed, TIE_CONFIGS[name])
+
+
+def test_closed_form_gradient_is_the_tape_gradient_for_long_phrases():
+    layout = parse_layout("""{
+      "prompt": "a big red cat and a dog",
+      "objects": [{"phrase": "big red cat", "box": [0.1, 0.2, 0.6, 0.9]},
+                  {"phrase": "dog", "box": [0.5, 0.0, 1.0, 0.5]}]
+    }""")
+    assert len(layout.phrases[0].span) == 3
+    for cfg in TIE_CONFIGS.values():
+        _walk_tied(layout, 5, replace(cfg, gamma=300.0))
+
+
+def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
+    # The finite-difference setting: targets and divisors held at a base
+    # point, evaluated away from it.
+    backbone = BackboneConfig(resolution=8, d_e=8, d=8, d_z=8)
+    layout = parse_layout("""{
+      "prompt": "cat fish star boat",
+      "objects": [{"phrase": "cat", "box": [0.0, 0.1, 0.6, 0.7]},
+                  {"phrase": "star", "box": [0.4, 0.3, 1.0, 1.0]}]
+    }""")
+    _, plan, _ = _setup(layout, backbone, 11)
+    rng = np.random.default_rng(11)
+    z0 = rng.standard_normal((backbone.q, backbone.d_z))
+    values = _loss_and_grad(plan, z0, GuidanceConfig())[2]
+    target = target_maps(values, layout, plan.masks)
+    frozen = loss_norms(values, layout, plan.tokens.sot_index,
+                        plan.tokens.eot_index)
+    z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
+    for cfg in TIE_CONFIGS.values():
+        for overrides in ({"target": target}, {"frozen_norms": frozen},
+                          {"target": target, "frozen_norms": frozen}):
+            for z in (z0, z1):
+                _assert_tied(plan, z, layout, cfg, resolution=8, **overrides)

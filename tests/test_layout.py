@@ -74,7 +74,11 @@ def test_parse_relations():
     for bad in [{"a": 0, "b": 5, "kind": "left"},
                 {"a": 0, "b": 0, "kind": "left"},
                 {"a": 0, "b": 1, "kind": "inside"},
-                {"a": 0, "kind": "left"}]:
+                {"a": 0, "kind": "left"},
+                # Not coerced to an index: a float, a bool, a string.
+                {"a": 0.9, "b": 1, "kind": "left"},
+                {"a": 0, "b": True, "kind": "left"},
+                {"a": "0", "b": 1, "kind": "left"}]:
         with pytest.raises(LayoutError, match="relations"):
             parse_layout(json.dumps(dict(TWO_OBJECTS, relations=[bad])))
 
