@@ -8,7 +8,9 @@ too small to catch any center snaps to the single cell holding its center.
 
 import json
 
-from loco.layout import parse_layout, rasterize_box, serialize_layout, union_mask
+import numpy as np
+
+from loco.layout import parse_layout, rasterize_box, serialize_layout
 
 DOC = {
     "prompt": "red cat watches blue ball near lamp",
@@ -33,7 +35,7 @@ def show(mask, title):
 
 masks = [rasterize_box(b) for b in layout.boxes]
 show(masks[0], "mask for 'red cat':")
-show(union_mask(masks), "union of all object masks:")
+show(np.any(masks, axis=0), "union of all object masks:")
 
 # A degenerate box still rasterizes to one cell.
 from loco.layout import BoundingBox

@@ -66,7 +66,6 @@ class BackboneConfig:
     """
 
     d_e: int = 32
-    d: int = 32
     d_z: int = 32
     total_steps: int = 51
     resolution: int = 16
@@ -80,10 +79,6 @@ class BackboneConfig:
     # degrades on inputs pushed far beyond it (the toy's fidelity channel).
     ood_noise_gain: float = 5.5
     ood_slack: float = 1.5
-
-    def __post_init__(self):
-        if self.d != self.d_z:
-            raise ContractError(f"d={self.d} must equal d_z={self.d_z}")
 
     @property
     def q(self) -> int:
@@ -146,12 +141,13 @@ def embed_tokens(prompt: str, vocab_seed: int, d_e: int = 32) -> TokenSet:
 
 @dataclass(frozen=True)
 class ProjectionSet:
-    """Frozen query/key projections drawn from one seed."""
+    """Frozen query/key projections drawn from one seed.
 
-    w_q: np.ndarray  # (d_z, d)
-    w_k: np.ndarray  # (d_e, d)
-    d: int
-    seed: int
+    Keys double as the denoiser's value vectors, so their width is d_z.
+    """
+
+    w_q: np.ndarray  # (d_z, d_z)
+    w_k: np.ndarray  # (d_e, d_z)
 
 
 def build_projections(cfg: BackboneConfig, seed: int) -> ProjectionSet:
@@ -162,10 +158,10 @@ def build_projections(cfg: BackboneConfig, seed: int) -> ProjectionSet:
     stable per-token basins.
     """
     rng = np.random.default_rng(seed)
-    w_k = rng.standard_normal((cfg.d_e, cfg.d)) / sqrt(cfg.d_e)
-    noise = rng.standard_normal((cfg.d_z, cfg.d)) / sqrt(cfg.d_z)
-    w_q = cfg.query_gain * (np.eye(cfg.d_z, cfg.d) + cfg.query_noise * noise)
-    return ProjectionSet(w_q=w_q, w_k=w_k, d=cfg.d, seed=seed)
+    w_k = rng.standard_normal((cfg.d_e, cfg.d_z)) / sqrt(cfg.d_e)
+    noise = rng.standard_normal((cfg.d_z, cfg.d_z)) / sqrt(cfg.d_z)
+    w_q = cfg.query_gain * (np.eye(cfg.d_z) + cfg.query_noise * noise)
+    return ProjectionSet(w_q=w_q, w_k=w_k)
 
 
 @dataclass(frozen=True)
@@ -242,8 +238,9 @@ def cross_attention(tape: Tape, z: Var, tokens: TokenSet,
 
 def value_matrix(tokens: TokenSet, proj: ProjectionSet, d_z: int) -> np.ndarray:
     """Token value vectors, (n, d_z): the key projection of each token."""
-    if proj.d != d_z:
-        raise ShapeError(f"value width {proj.d} does not match d_z={d_z}")
+    width = proj.w_k.shape[1]
+    if width != d_z:
+        raise ShapeError(f"value width {width} does not match d_z={d_z}")
     return tokens.e @ proj.w_k
 
 

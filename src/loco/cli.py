@@ -50,6 +50,26 @@ def _seed(args: argparse.Namespace) -> int:
     return int(raw)
 
 
+def _read_text(path: Path, error: type[Exception]) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 raises ``error``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path} is not UTF-8 text: {err}") from None
+
+
+def _gamma_sweep(text: str) -> list[float]:
+    """The ``--gamma-sweep`` list; empty entries are skipped."""
+    sweep = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            sweep.append(float(entry))
+        except ValueError:
+            raise ContractError(
+                f"--gamma-sweep entry {entry.strip()!r} is not a number") from None
+    return sweep
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loco",
@@ -98,7 +118,7 @@ def _guidance_config(args: argparse.Namespace) -> GuidanceConfig:
     """Config file values first, then flag overrides, on top of defaults."""
     values: dict = {}
     if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
+        doc = json.loads(_read_text(args.config, ContractError))
         if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
         known = {f.name for f in fields(GuidanceConfig)}
@@ -192,7 +212,7 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.layout is None:
         raise ContractError("generate requires --layout FILE")
-    layout = parse_layout(Path(args.layout).read_text())
+    layout = parse_layout(_read_text(args.layout, LayoutError))
     cfg = _guidance_config(args)
     seed = _seed(args)
     run = guided_sample(layout, cfg, BackboneConfig(), seed)
@@ -209,9 +229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _guidance_config(args)
     seed = _seed(args)
     seeds = list(range(seed, seed + args.seeds))
-    sweep = None
-    if args.gamma_sweep:
-        sweep = [float(v) for v in args.gamma_sweep.split(",") if v.strip()]
+    sweep = _gamma_sweep(args.gamma_sweep) if args.gamma_sweep else None
     report = run_benchmark(suite, cfg, BackboneConfig(), seeds,
                            gamma_sweep=sweep)
     args.out.mkdir(parents=True, exist_ok=True)

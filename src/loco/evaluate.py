@@ -306,9 +306,7 @@ class BenchReport:
 
 def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
                   backbone: BackboneConfig, seeds: Sequence[int],
-                  gamma_sweep: Sequence[float] | None = None,
-                  arms: Sequence[str] = ARMS,
-                  tau: float = DEFAULT_TAU) -> BenchReport:
+                  gamma_sweep: Sequence[float] | None = None) -> BenchReport:
     """Run every (layout, seed, arm) combination and aggregate the scores.
 
     ``gamma_sweep`` additionally reruns the full-guidance configuration at
@@ -316,7 +314,7 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     """
     if not suite:
         raise ContractError("benchmark suite is empty")
-    groups = [(arm, arm_config(cfg, arm)) for arm in arms]
+    groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
     groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
                for gamma in gamma_sweep or ()]
     records, sweep = [], []
@@ -325,7 +323,7 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         for name, layout in suite:
             for seed in seeds:
                 run = guided_sample(layout, gcfg, backbone, seed)
-                metrics, _ = _evaluate_run(run, tau)
+                metrics, _ = _evaluate_run(run, DEFAULT_TAU)
                 group.append(_record(name, seed, label, gcfg, run, metrics))
         if label == "gamma_sweep":
             sweep.append({"gamma": gcfg.gamma, **aggregate_records(group)})
@@ -334,8 +332,8 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
 
     aggregates = {
         arm: aggregate_records([r for r in records if r["arm"] == arm])
-        for arm in arms
+        for arm in ARMS
     }
     return BenchReport(config=cfg, backbone=backbone, seeds=tuple(seeds),
-                       arms=tuple(arms), tau=tau, records=records,
+                       arms=ARMS, tau=DEFAULT_TAU, records=records,
                        aggregates=aggregates, gamma_sweep=sweep)

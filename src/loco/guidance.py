@@ -21,6 +21,7 @@ to the frozen denoiser.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 from math import sqrt
 from typing import Sequence
@@ -55,7 +56,6 @@ __all__ = [
     "GuidedRun",
     "LossBreakdown",
     "StepRecord",
-    "TargetMaps",
     "gradient_check",
     "loss_norms",
     "guided_sample",
@@ -75,9 +75,8 @@ __all__ = [
 EPS = 1e-8
 # Probability clamp for the binary cross-entropy.
 BCE_CLAMP = 1e-7
-
-SCHEDULE_KINDS = ("linear", "exponential")
-PTC_TARGETS = ("foreground", "mask")
+# Central-difference step of the gradient check.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,7 @@ class GuidanceConfig:
     guided_steps: int = 10
     iterations_per_step: int = 5
     detach_norms: bool = False
-    schedule_kind: str = "linear"
     lac_normalize: bool = True
-    ptc_target: str = "foreground"
 
     def __post_init__(self):
         # Each field takes its default's type; a float field also takes an
@@ -104,29 +101,19 @@ class GuidanceConfig:
                     value, want):
                 raise ContractError(
                     f"{f.name} must be {kind.__name__}, got {value!r}")
-        if not self.gamma > 0:
-            raise ContractError(f"gamma must be positive, got {self.gamma}")
-        if self.alpha < 0:
-            raise ContractError(f"alpha must be nonnegative, got {self.alpha}")
+        # The upper bound rejects NaN, infinities and ints beyond float range.
+        if not 0 < self.gamma <= sys.float_info.max:
+            raise ContractError(
+                f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.alpha <= sys.float_info.max:
+            raise ContractError(
+                f"alpha must be nonnegative and finite, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ContractError(f"beta must lie in [0, 1], got {self.beta}")
         if self.guided_steps < 0:
             raise ContractError("guided_steps must be nonnegative")
         if self.iterations_per_step < 1:
             raise ContractError("iterations_per_step must be at least 1")
-        if self.schedule_kind not in SCHEDULE_KINDS:
-            raise ContractError(f"schedule_kind must be one of {SCHEDULE_KINDS}")
-        if self.ptc_target not in PTC_TARGETS:
-            raise ContractError(f"ptc_target must be one of {PTC_TARGETS}")
-
-
-@dataclass(frozen=True)
-class TargetMaps:
-    """Detached per-iteration targets derived from the current attention."""
-
-    per_object: np.ndarray  # (k, q): object map masked to its box
-    foreground: np.ndarray  # (q,): cellwise max over objects
-    union: np.ndarray  # (q,): binary OR of the box masks
 
 
 @dataclass(frozen=True)
@@ -238,16 +225,11 @@ def lac_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
 
 
 def target_maps(attn_values: np.ndarray, layout: Layout,
-                masks: Sequence[np.ndarray]) -> TargetMaps:
-    """Masked object maps and their cellwise-max foreground, off the tape."""
+                masks: Sequence[np.ndarray]) -> np.ndarray:
+    """The PTC target off the tape, (q,): the cellwise max over objects of
+    each object map masked to its box."""
     maps = object_maps(attn_values, layout)
-    return _masked_targets(maps, _flat_masks(masks, maps.shape[1]))
-
-
-def _masked_targets(maps: np.ndarray, flats: np.ndarray) -> TargetMaps:
-    per_object = maps * flats
-    return TargetMaps(per_object=per_object, foreground=per_object.max(axis=0),
-                      union=(flats != 0).any(axis=0).astype(np.float64))
+    return (maps * _flat_masks(masks, maps.shape[1])).max(axis=0)
 
 
 def ptc_maps(attn: AttentionMaps, beta: float, detach_norms: bool = False,
@@ -301,29 +283,28 @@ def loss_norms(attn_values: np.ndarray, layout: Layout,
 
 
 def loco_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
-              cfg: GuidanceConfig, target: TargetMaps | None = None,
+              cfg: GuidanceConfig, target: np.ndarray | None = None,
               frozen_norms: FrozenNorms | None = None) -> tuple[Var, LossBreakdown]:
     """Combined loss ``lac + alpha * ptc`` on the tape, plus its breakdown.
 
-    ``target`` defaults to maps derived from the current attention values,
-    treated as constants for this iteration. ``frozen_norms`` pins the
+    ``target`` defaults to ``target_maps`` of the current attention values,
+    treated as a constant for this iteration. ``frozen_norms`` pins the
     rescaling divisors, which the finite-difference oracle needs when the
     divisors are detached.
     """
     maps = object_maps(attn.values, layout)
-    flats = _flat_masks(masks, maps.shape[1])
+    masked = maps * _flat_masks(masks, maps.shape[1])
     if target is None:
-        target = _masked_targets(maps, flats)
+        target = masked.max(axis=0)
     lac = lac_loss(attn, layout, masks, normalize=cfg.lac_normalize,
                    detach_norms=cfg.detach_norms,
                    frozen_norms=frozen_norms.lac if frozen_norms else None)
-    y = target.union if cfg.ptc_target == "mask" else target.foreground
     a_pt = ptc_maps(attn, cfg.beta, detach_norms=cfg.detach_norms,
                     frozen_norms=(frozen_norms.sot, frozen_norms.eot)
                     if frozen_norms else None)
-    ptc = ptc_loss(a_pt, y)
+    ptc = ptc_loss(a_pt, target)
     loss = lac + cfg.alpha * ptc
-    inbox = (maps * flats).sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
+    inbox = masked.sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
     breakdown = LossBreakdown(
         lac=float(lac.value),
         ptc=float(ptc.value),
@@ -334,12 +315,11 @@ def loco_loss(attn: AttentionMaps, layout: Layout, masks: Sequence[np.ndarray],
 
 
 def schedule(step_index: int, cfg: GuidanceConfig) -> float:
-    """Step-size decay over the guided steps; strictly decreasing in (0, 1]."""
+    """Linear step-size decay over the guided steps; strictly decreasing
+    in (0, 1]."""
     s = cfg.guided_steps
     if not 0 <= step_index < s:
         raise ContractError(f"step index {step_index} outside [0, {s})")
-    if cfg.schedule_kind == "exponential":
-        return 0.5 ** step_index
     return (s - step_index) / s
 
 
@@ -392,7 +372,6 @@ class _Plan:
     keys: np.ndarray  # (n, d): E @ W_k, as cross_attention builds it
     sel: np.ndarray  # (n, k) phrase selector, column-major
     flats: np.ndarray  # (k, q) box masks
-    union: np.ndarray  # (q,) OR of the box masks, the "mask" PTC target
     pads: tuple[np.ndarray, np.ndarray]  # SoT and EoT columns of eye(n)
 
 
@@ -412,12 +391,11 @@ def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
     tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
     proj = build_projections(backbone, seeds.proj)
     masks = tuple(rasterize_box(b, backbone.resolution) for b in layout.boxes)
-    flats = _flat_masks(masks, backbone.q)
     eye = np.eye(tokens.n)
     plan = _Plan(
         tokens=tokens, proj=proj, masks=masks, keys=tokens.e @ proj.w_k,
-        sel=_phrase_selector(layout.phrases, tokens.n), flats=flats,
-        union=(flats != 0).any(axis=0).astype(np.float64),
+        sel=_phrase_selector(layout.phrases, tokens.n),
+        flats=_flat_masks(masks, backbone.q),
         pads=tuple(eye[:, i:i + 1] for i in (tokens.sot_index,
                                               tokens.eot_index)))
     return seeds, plan, init_latent(backbone, seeds.latent)
@@ -440,7 +418,7 @@ def _one_hot(g, idx: int, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _loss_and_grad(plan: _Plan, z: np.ndarray, cfg: GuidanceConfig,
-                   target: TargetMaps | None = None,
+                   target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
                    with_grad: bool = True
                    ) -> tuple[np.ndarray | None, LossBreakdown, np.ndarray]:
@@ -505,10 +483,7 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfg: GuidanceConfig,
     a_pt = beta * (inverted / n_sot) + (1.0 - beta) * (eot / n_eot)
     maps = np.array([c[:, 0] for c in cols])
     masked = maps * plan.flats
-    if target is not None:
-        y = target.union if cfg.ptc_target == "mask" else target.foreground
-    else:
-        y = plan.union if cfg.ptc_target == "mask" else masked.max(axis=0)
+    y = masked.max(axis=0) if target is None else target
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if y.shape != a_pt.shape:
         raise ShapeError(
@@ -672,7 +647,6 @@ def _random_layout(rng: np.random.Generator, n_objects: int,
 
 def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
                    n_objects: int = 2, detach_norms: bool = False,
-                   cfg: GuidanceConfig | None = None, h: float = 1e-5,
                    corrupt: bool = False) -> GradCheckResult:
     """Compare the combined loss gradient against central differences.
 
@@ -685,12 +659,10 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     """
     if resolution > 16:
         raise ContractError("finite differences need a latent of at most 16x16")
-    if cfg is None:
-        cfg = GuidanceConfig()
-    cfg = replace(cfg, detach_norms=detach_norms)
+    cfg = GuidanceConfig(detach_norms=detach_norms)
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
-    backbone = BackboneConfig(resolution=resolution, d_e=8, d=8, d_z=8)
+    backbone = BackboneConfig(resolution=resolution, d_e=8, d_z=8)
     _, plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
 
@@ -709,12 +681,12 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     numeric = np.zeros_like(flat)
     for i in range(flat.size):
         kept = flat[i]
-        flat[i] = kept + h
+        flat[i] = kept + FD_STEP
         up = loss_at(flat.reshape(z0.shape))
-        flat[i] = kept - h
+        flat[i] = kept - FD_STEP
         down = loss_at(flat.reshape(z0.shape))
         flat[i] = kept
-        numeric[i] = (up - down) / (2.0 * h)
+        numeric[i] = (up - down) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 
     gap = np.abs(analytic - numeric)

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .backbone import tokenize
-from .diffmath import ContractError
 
 __all__ = [
     "BoundingBox",
@@ -35,7 +33,6 @@ __all__ = [
     "parse_layout",
     "rasterize_box",
     "serialize_layout",
-    "union_mask",
 ]
 
 RELATION_KINDS = ("left", "right", "above", "below")
@@ -139,6 +136,9 @@ def layout_from_dict(doc: dict) -> Layout:
             boxes.append(BoundingBox(*map(float, box)))
         except LayoutError as err:
             raise LayoutError(f"objects[{i}].{err}") from None
+        except OverflowError:  # an integer beyond the float range
+            raise LayoutError(f"objects[{i}].box has a coordinate outside "
+                              "[0, 1]") from None
         span = _resolve_span(words, phrase)
         if any(set(span) & set(p.span) for p in phrases):
             raise LayoutError(f"objects[{i}].phrase {phrase!r} overlaps an "
@@ -215,15 +215,3 @@ def rasterize_box(box: BoundingBox, resolution: int = 16) -> np.ndarray:
         r = min(int(cy * resolution), resolution - 1)
         mask[r, c] = 1
     return mask
-
-
-def union_mask(masks: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise OR of equally-sized binary masks."""
-    if len(masks) == 0:
-        raise ContractError("union of an empty mask list")
-    out = masks[0].astype(np.uint8)
-    for m in masks[1:]:
-        if m.shape != out.shape:
-            raise ContractError(f"mask shapes differ: {m.shape} vs {out.shape}")
-        out = np.logical_or(out, m).astype(np.uint8)
-    return out

@@ -35,8 +35,8 @@ def load_suite(directory: Path | str) -> list[tuple[str, Layout]]:
     for path in sorted(directory.glob("*.json")):
         try:
             suite.append((path.stem, layout_from_dict(
-                json.loads(path.read_text()))))
-        except (LayoutError, json.JSONDecodeError) as err:
+                json.loads(path.read_text(encoding="utf-8")))))
+        except (LayoutError, json.JSONDecodeError, UnicodeDecodeError) as err:
             raise LayoutError(f"{path.name}: {err}") from None
     if not suite:
         raise ContractError(f"suite directory {directory} has no layouts")

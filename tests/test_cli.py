@@ -1,13 +1,21 @@
 """Command-line surface: artifacts, exit codes, config plumbing."""
 
+import contextlib
+import io
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loco.cli import main, write_pgm
+from loco.cli import _guidance_config, build_parser, main, write_pgm
+from loco.diffmath import ContractError
+from loco.guidance import GuidanceConfig
 from loco.suite import bundled_suite_dir
+from strategies import mostly
 
 TWO_OBJECT_DOC = json.loads((bundled_suite_dir() / "pair_cat_dog.json").read_text())
 
@@ -99,17 +107,21 @@ def test_config_file_and_flag_precedence(layout_file, tmp_path):
     assert summary["guidance"]["alpha"] == 0.1  # file beats default
 
 
-def test_config_file_rejects_unknown_fields(layout_file, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"gama": 5.0}))
-    assert main(["generate", "--layout", str(layout_file),
-                 "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
-    assert "gama" in capsys.readouterr().err
-
-
 def _assert_one_error_line(captured) -> None:
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_config_file_rejects_unknown_fields(layout_file, tmp_path, capsys):
+    # Removed settings are unknown fields like any other.
+    cfg = tmp_path / "cfg.json"
+    for field in ("gama", "schedule_kind", "ptc_target"):
+        cfg.write_text(json.dumps({field: "linear"}))
+        assert main(["generate", "--layout", str(layout_file),
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured)
+        assert f"unknown config fields: ['{field}']" in captured.err
 
 
 @pytest.mark.parametrize("doc, field", [({"guided_steps": 2.5}, "guided_steps"),
@@ -126,6 +138,50 @@ def test_config_file_rejects_wrong_types(layout_file, tmp_path, capsys, doc,
     _assert_one_error_line(captured)
     assert field in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--guided-steps", "0"], []])
+def test_non_finite_alpha_is_one_error_line(layout_file, tmp_path, capsys,
+                                            extra):
+    out = tmp_path / "o"
+    assert main(["generate", "--layout", str(layout_file), "--out", str(out),
+                 "--alpha", "nan"] + extra) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "alpha must be nonnegative and finite" in captured.err
+    assert not out.exists()
+
+
+# Fuzzed config documents: known and unknown field names, numbers (NaN,
+# infinities and ints beyond float range included) or any JSON value.
+CONFIG_DOCS = mostly(st.dictionaries(
+    st.sampled_from([f.name for f in fields(GuidanceConfig)] + ["gama"]),
+    mostly(st.integers(-2, 12) | st.floats() | st.just(10 ** 400)),
+    max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=CONFIG_DOCS)
+def test_fuzzed_config_documents_build_or_fail_in_one_line(tmp_path_factory,
+                                                           doc):
+    root = tmp_path_factory.mktemp("fuzz")
+    layout, cfg, out = root / "layout.json", root / "cfg.json", root / "o"
+    layout.write_text(json.dumps(TWO_OBJECT_DOC))
+    cfg.write_text(json.dumps(doc))
+    argv = ["generate", "--layout", str(layout), "--config", str(cfg),
+            "--out", str(out)]
+    try:
+        built = _guidance_config(build_parser().parse_args(argv))
+    except ContractError:
+        # Only a rejected config reaches main: it fails before sampling.
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+    else:
+        assert isinstance(built, GuidanceConfig)
 
 
 @pytest.mark.parametrize("argv, env, source", [
@@ -197,6 +253,40 @@ def test_bench_gamma_sweep_entries(small_suite_dir, tmp_path):
                  "--seeds", "1", "--gamma-sweep", "1,5,30,300"]) == 0
     report = json.loads((out / "bench_report.json").read_text())
     assert [e["gamma"] for e in report["gamma_sweep"]] == [1.0, 5.0, 30.0, 300.0]
+
+
+def test_bench_gamma_sweep_rejects_non_numbers(small_suite_dir, tmp_path,
+                                               capsys):
+    out = tmp_path / "bench"
+    assert main(["bench", "--layout", str(small_suite_dir), "--out", str(out),
+                 "--seeds", "1", "--gamma-sweep", "1,abc,30"]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "--gamma-sweep entry 'abc'" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate --layout", "generate --config",
+                                     "bench --layout"])
+def test_non_utf8_input_file_is_one_error_line(layout_file, tmp_path, capsys,
+                                               command):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"prompt": "caf\u00e9 cat"}'.encode("latin-1"))
+    if command == "bench --layout":
+        suite_dir = tmp_path / "suite"
+        suite_dir.mkdir()
+        bad = bad.rename(suite_dir / bad.name)
+        argv = ["bench", "--layout", str(suite_dir)]
+    elif command == "generate --config":
+        argv = ["generate", "--layout", str(layout_file), "--config", str(bad)]
+    else:
+        argv = ["generate", "--layout", str(bad)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert bad.name in captured.err and "utf-8" in captured.err
+    assert not out.exists()
 
 
 def test_bench_empty_suite_dir_fails(tmp_path, capsys):
