@@ -30,7 +30,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .evaluate import DEFAULT_TAU, _evaluate_run, run_benchmark
+from .evaluate import DEFAULT_TAU, _evaluate, run_benchmark
 from .guidance import (GuidanceConfig, GuidedRun, gradient_check, guided_sample,
                        object_maps)
 from .layout import LayoutError, parse_layout
@@ -118,7 +118,12 @@ def _guidance_config(args: argparse.Namespace) -> GuidanceConfig:
     """Config file values first, then flag overrides, on top of defaults."""
     values: dict = {}
     if args.config is not None:
-        doc = json.loads(_read_text(args.config, ContractError))
+        text = _read_text(args.config, ContractError)
+        try:
+            doc = json.loads(text)
+        except ValueError as err:  # JSONDecodeError, or an integer too long
+            raise ContractError(
+                f"config file {args.config} is not valid JSON: {err}") from None
         if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
         known = {f.name for f in fields(GuidanceConfig)}
@@ -164,7 +169,7 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
                                  repr(bd.total)])
     written.append("losses.csv")
 
-    metrics, labels = _evaluate_run(run, DEFAULT_TAU)
+    metrics, labels = _evaluate(run.layout, run.final_attention, DEFAULT_TAU)
     (out / "labels.json").write_text(json.dumps({
         "resolution": run.final_attention.resolution,
         "tau": DEFAULT_TAU,
@@ -287,8 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_gradcheck(args)
-    except (LayoutError, ContractError, ShapeError, OSError,
-            json.JSONDecodeError) as err:
+    except (LayoutError, ContractError, ShapeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

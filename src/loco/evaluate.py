@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from .backbone import AttentionMaps, BackboneConfig
 from .diffmath import ContractError
-from .guidance import (GuidanceConfig, GuidedRun, _guided_step, _setup,
-                       guided_sample, object_maps)
+from .guidance import (GuidanceConfig, LossBreakdown, _guided_step, _setup,
+                       _trajectories, object_maps)
+# Not called here; it stays a module attribute because perfbench's layer trace
+# and speed probe rebind it here.
+from .guidance import guided_sample  # noqa: F401
 from .layout import BoundingBox, Layout, rasterize_box
 
 __all__ = [
@@ -207,8 +210,10 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
+    if cfg.guided_steps < 1:
+        raise ContractError("cross-box mass needs a guided step")
     _, plan, state = _setup(layout, backbone, seed)
-    _, _, seen = _guided_step(state, 0, plan, cfg)
+    _, _, (seen,) = _guided_step(state.z[None], 0, plan, [cfg])
     values = []
     for attn_values in seen:
         maps = object_maps(attn_values, layout)
@@ -229,15 +234,16 @@ def arm_config(cfg: GuidanceConfig, arm: str) -> GuidanceConfig:
     raise ContractError(f"unknown benchmark arm {arm!r}")
 
 
-def _evaluate_run(run: GuidedRun, tau: float) -> tuple[LayoutMetrics, np.ndarray]:
-    labels = decode_labels(run.final_attention, run.layout, tau)
+def _evaluate(layout: Layout, attn: AttentionMaps,
+              tau: float) -> tuple[LayoutMetrics, np.ndarray]:
+    """Metrics and label map of a run's final attention."""
+    labels = decode_labels(attn, layout, tau)
     detections = detect_regions(labels)
-    return layout_metrics(detections, run.layout, run.final_attention), labels
+    return layout_metrics(detections, layout, attn), labels
 
 
 def _record(name: str, seed: int, arm: str, cfg: GuidanceConfig,
-            run: GuidedRun, metrics: LayoutMetrics) -> dict:
-    curve = run.loss_curve()
+            curve: Sequence[LossBreakdown], metrics: LayoutMetrics) -> dict:
     return {
         "layout": name,
         "seed": seed,
@@ -305,26 +311,46 @@ class BenchReport:
 
 
 def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
-                  backbone: BackboneConfig, seeds: Sequence[int],
+                  backbone: BackboneConfig, seeds: Iterable[int],
                   gamma_sweep: Sequence[float] | None = None) -> BenchReport:
     """Run every (layout, seed, arm) combination and aggregate the scores.
 
     ``gamma_sweep`` additionally reruns the full-guidance configuration at
     each requested loss scale and reports per-scale aggregates.
+
+    Each (layout, seed) runs all its arms and sweep points as one stack of
+    trajectories, and configs that compare equal run once (the gamma-30
+    sweep point is the ``lac_ptc`` arm). Only each run's loss curve and
+    final attention are kept. Every record equals the one its config's
+    own ``guided_sample`` run gives.
     """
     if not suite:
         raise ContractError("benchmark suite is empty")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ContractError("benchmark needs at least one seed")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ContractError(
+                f"seed must be a nonnegative integer, got {seed!r}")
     groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
     groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
                for gamma in gamma_sweep or ()]
+    configs = list(dict.fromkeys(gcfg for _, gcfg in groups))
+    items = [configs.index(gcfg) for _, gcfg in groups]
+    per_group: list[list[dict]] = [[] for _ in groups]
+    for name, layout in suite:
+        for seed in seeds:
+            _, plan, start = _setup(layout, backbone, seed)
+            tracks = _trajectories(plan, start, configs, backbone)
+            scores = [_evaluate(layout, track.attention, DEFAULT_TAU)[0]
+                      for track in tracks]
+            for (label, gcfg), i, group in zip(groups, items, per_group):
+                group.append(_record(name, seed, label, gcfg, tracks[i].curve,
+                                     scores[i]))
+
     records, sweep = [], []
-    for label, gcfg in groups:
-        group = []
-        for name, layout in suite:
-            for seed in seeds:
-                run = guided_sample(layout, gcfg, backbone, seed)
-                metrics, _ = _evaluate_run(run, DEFAULT_TAU)
-                group.append(_record(name, seed, label, gcfg, run, metrics))
+    for (label, gcfg), group in zip(groups, per_group):
         if label == "gamma_sweep":
             sweep.append({"gamma": gcfg.gamma, **aggregate_records(group)})
         else:
@@ -334,6 +360,6 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         arm: aggregate_records([r for r in records if r["arm"] == arm])
         for arm in ARMS
     }
-    return BenchReport(config=cfg, backbone=backbone, seeds=tuple(seeds),
+    return BenchReport(config=cfg, backbone=backbone, seeds=seeds,
                        arms=ARMS, tau=DEFAULT_TAU, records=records,
                        aggregates=aggregates, gamma_sweep=sweep)

@@ -37,14 +37,15 @@ from .backbone import (
     Seeds,
     TokenSet,
     build_projections,
-    cross_attention,
-    denoise_step,
     effective_noise,
     embed_tokens,
     expected_latent_rms,
     init_latent,
     value_matrix,
 )
+# The trajectory engine below inlines these two; they stay attributes of this
+# module because perfbench/tracing.py rebinds them here.
+from .backbone import cross_attention, denoise_step  # noqa: F401
 from .diffmath import ContractError, ShapeError, Tape, Var
 from .layout import Layout, Phrase, layout_from_dict, rasterize_box
 
@@ -375,18 +376,13 @@ class _Plan:
     pads: tuple[np.ndarray, np.ndarray]  # SoT and EoT columns of eye(n)
 
 
-def _extract(state: LatentState, plan: _Plan,
-             cfg: BackboneConfig) -> AttentionMaps:
-    """Attention at the current latent, off the gradient path."""
-    tape = Tape()
-    return cross_attention(tape, tape.constant(state.z), plan.tokens,
-                           plan.proj, resolution=cfg.resolution)
-
-
 def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
            ) -> tuple[Seeds, _Plan, LatentState]:
     """Seeds, the run's constants and the start latent."""
-    if isinstance(seeds, int):
+    if not isinstance(seeds, Seeds):
+        if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
+            raise ContractError(
+                f"seed must be a nonnegative integer or Seeds, got {seeds!r}")
         seeds = Seeds.from_master(seeds)
     tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
     proj = build_projections(backbone, seeds.proj)
@@ -401,163 +397,305 @@ def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
     return seeds, plan, init_latent(backbone, seeds.latent)
 
 
+# The closed-form loss and the trajectory engine work on stacks of latents,
+# (B, q, d_z). A stacked np.matmul is, item by item, the 2-D product, and
+# each reduction runs along the same contiguous axis as on one latent, so
+# every item is bit-identical to the same computation on its latent alone.
+
+def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
+    """Cross-attention values at stacked latents, (B, q, n): the row softmax
+    of (z W_q) K^T / sqrt(d), in ``cross_attention``'s operation order."""
+    w_q = plan.proj.w_q
+    logits = ((z @ w_q) @ plan.keys.T) / sqrt(w_q.shape[1])
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _max_entry(x: np.ndarray):
-    """``max_norm`` then ``maximum(., EPS)``: the routing index of the max
-    entry, whether it beat EPS, and the floored value."""
-    idx = int(np.argmax(x))
-    top = x.reshape(-1)[idx]
+    """``max_norm`` then ``maximum(., EPS)`` along the last axis: the routing
+    index of each max entry (the first), whether it beat EPS, and the
+    floored value."""
+    top = x.max(axis=-1)
     won = top >= EPS
-    return idx, won, top if won else EPS
+    return x.argmax(axis=-1), won, np.where(won, top, EPS)
 
 
-def _one_hot(g, idx: int, shape: tuple[int, int]) -> np.ndarray:
-    """``max_norm``'s adjoint: g at the routing index, zeros elsewhere."""
-    full = np.zeros(shape[0] * shape[1])
-    full[idx] = g
-    return full.reshape(shape)
+def _one_hot(g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
+    """``max_norm``'s adjoint along a last axis of length m: g at each
+    routing index, zeros elsewhere."""
+    full = np.zeros(idx.shape + (m,))
+    full.reshape(-1, m)[np.arange(idx.size), idx.ravel()] = g.ravel()
+    return full
 
 
-def _loss_and_grad(plan: _Plan, z: np.ndarray, cfg: GuidanceConfig,
+def _loss_key(cfg: GuidanceConfig) -> tuple:
+    """What the items of one stacked loss call must share; ``gamma`` and
+    ``alpha`` may differ."""
+    return (cfg.lac_normalize, cfg.detach_norms, cfg.beta,
+            cfg.iterations_per_step)
+
+
+def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
                    with_grad: bool = True
-                   ) -> tuple[np.ndarray | None, LossBreakdown, np.ndarray]:
-    """``loco_loss`` at latent z and its gradient, in closed form.
+                   ) -> tuple[np.ndarray | None, list[LossBreakdown], np.ndarray]:
+    """``loco_loss`` at stacked latents z, (B, q, d_z), and its gradient, in
+    closed form; item b uses ``cfgs[b]``, and all share ``_loss_key``.
 
-    Returns the gradient (None without ``with_grad``), the breakdown and the
-    attention values. It repeats the tape's forward and backward operation
-    by operation: the same numpy expressions on the same operand views, and
-    each adjoint summed in the tape's reverse node order. So all three are
-    bit-identical to ``cross_attention`` + ``loco_loss`` + ``Tape.backward``,
-    which stay as the oracle. ``target`` and ``frozen_norms`` act as in
-    ``loco_loss``.
+    Returns the gradients (None without ``with_grad``), one breakdown per
+    item and the attention values. It repeats the tape's forward and
+    backward operation by operation: the same numpy expressions on the same
+    operand views, and each adjoint summed in the tape's reverse node order.
+    So each item's three outputs are bit-identical to ``cross_attention`` +
+    ``loco_loss`` + ``Tape.backward`` on its latent, which stay as the
+    oracle. ``target`` and ``frozen_norms`` act as in ``loco_loss``, on
+    every item.
     """
-    alpha, beta = float(cfg.alpha), float(cfg.beta)
+    cfg = cfgs[0]
+    if len(cfgs) != z.shape[0] or len({_loss_key(c) for c in cfgs}) != 1:
+        raise ContractError("a stacked loss needs one config per latent, "
+                            "all with the same flags")
+    alpha = np.array([c.alpha for c in cfgs], dtype=np.float64)
+    beta = float(cfg.beta)
     normalize = cfg.lac_normalize
     # Detached or frozen divisors are constants: no adjoint reaches them.
     held = cfg.detach_norms or frozen_norms is not None
     kt, w_q = plan.keys.T, plan.proj.w_q
     scale = sqrt(w_q.shape[1])
+    a = _attention(plan, z)
+    b, q = a.shape[:2]
 
-    # Cross-attention: row softmax of (z W_q) K^T / sqrt(d).
-    logits = ((z @ w_q) @ kt) / scale
-    logits = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    a = e / e.sum(axis=1, keepdims=True)
-
-    # lac: the in-box share of the (rescaled) object maps.
+    # lac: the in-box share of the (rescaled) object maps, (B, k, q).
     k = plan.sel.shape[1]
     if k == 0:
         raise ContractError("layout has no objects")
-    cols = [a @ plan.sel[:, i:i + 1] for i in range(k)]
-    flat_cols = [flat[:, None] for flat in plan.flats]
-    inbox = [np.sum(c * f) for c, f in zip(cols, flat_cols)]
-    every = [np.sum(c) for c in cols]
+    cols = np.empty((b, k, q, 1))
+    for i in range(k):
+        np.matmul(a, plan.sel[:, i:i + 1], out=cols[:, i])
+    maps = cols[..., 0]
+    masked = maps * plan.flats
+    inbox = masked.sum(axis=-1)  # (B, k)
+    every = maps.sum(axis=-1)
     if not normalize:
         num_terms, den_terms = inbox, every
     else:
         if frozen_norms is not None:
-            norms = [float(v) for v in frozen_norms.lac]
+            norms = np.array(frozen_norms.lac, dtype=np.float64)
         else:
-            peaks = [_max_entry(c) for c in cols]
-            norms = [norm for _, _, norm in peaks]
-        num_terms = [v / n for v, n in zip(inbox, norms)]
-        den_terms = [v / n for v, n in zip(every, norms)]
-    num, den = num_terms[0], den_terms[0]
+            peak_idx, peak_won, norms = _max_entry(maps)
+        num_terms, den_terms = inbox / norms, every / norms
+    num, den = num_terms[:, 0], den_terms[:, 0]
     for i in range(1, k):
-        num = num + num_terms[i]
-        den = den + den_terms[i]
+        num = num + num_terms[:, i]
+        den = den + den_terms[:, i]
     den_won = den >= EPS
-    den_floor = den if den_won else EPS
+    den_floor = np.where(den_won, den, EPS)
     short = 1.0 - num / den_floor
     lac = short * short
 
-    # ptc: cross-entropy of the blended SoT-complement and EoT maps.
-    sot, eot = (a @ col for col in plan.pads)
+    # ptc: cross-entropy of the blended SoT-complement and EoT maps, (B, q).
+    sot, eot = ((a @ col)[..., 0] for col in plan.pads)
     inverted = 1.0 - sot
     if frozen_norms is not None:
         n_sot, n_eot = float(frozen_norms.sot), float(frozen_norms.eot)
     else:
         sot_idx, sot_won, n_sot = _max_entry(inverted)
         eot_idx, eot_won, n_eot = _max_entry(eot)
+        n_sot, n_eot = n_sot[:, None], n_eot[:, None]
     a_pt = beta * (inverted / n_sot) + (1.0 - beta) * (eot / n_eot)
-    maps = np.array([c[:, 0] for c in cols])
-    masked = maps * plan.flats
-    y = masked.max(axis=0) if target is None else target
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    if y.shape != a_pt.shape:
-        raise ShapeError(
-            f"target shape {y.shape} does not match map {a_pt.shape}")
+    if target is None:
+        y = masked.max(axis=1)
+    else:
+        y = np.asarray(target, dtype=np.float64).reshape(-1)
+        if y.shape != (q,):
+            raise ShapeError(
+                f"target shape {y.shape} does not match map {(q, 1)}")
     decay = np.exp(-np.abs(a_pt))
     s = np.where(a_pt >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
     p = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
     not_p, not_y = 1.0 - p, 1.0 - y
     good = y * np.log(p) + not_y * np.log(not_p)
-    ptc = (0.0 - np.sum(good)) / float(a_pt.size)
+    ptc = (0.0 - good.sum(axis=-1)) / float(q)
     total = lac + alpha * ptc
 
-    share = masked.sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
-    breakdown = LossBreakdown(lac=float(lac), ptc=float(ptc),
-                              total=float(total),
-                              per_object_inbox_fraction=tuple(map(float, share)))
+    share = inbox / np.maximum(every, EPS)
+    breakdowns = [
+        LossBreakdown(lac=l, ptc=c, total=t, per_object_inbox_fraction=tuple(f))
+        for l, c, t, f in zip(lac.tolist(), ptc.tolist(), total.tolist(),
+                              share.tolist())]
     if not with_grad:
-        return None, breakdown, a
+        return None, breakdowns, a
 
     # Backward through ptc; d total / d ptc = alpha, even when it is 0.
-    g_good = np.full(good.shape, float(-(alpha / float(a_pt.size))))
+    g_good = (-(alpha / float(q)))[:, None]
     g_p = -((g_good * not_y) / not_p)
     g_p = g_p + (g_good * y) / p
     g_p = g_p * ((s >= BCE_CLAMP) & (s <= 1.0 - BCE_CLAMP))
     g_pt = s * (1.0 - s) * g_p
     g_term = g_pt * (1.0 - beta)
     g_eot = g_term / n_eot
-    g_n_eot = np.sum(-g_term * eot / (n_eot * n_eot))
+    g_n_eot = (-g_term * eot / (n_eot * n_eot)).sum(axis=-1)
     g_term = g_pt * beta
     g_inv = g_term / n_sot
-    g_n_sot = np.sum(-g_term * inverted / (n_sot * n_sot))
+    g_n_sot = (-g_term * inverted / (n_sot * n_sot)).sum(axis=-1)
     if not held:
-        g_eot = g_eot + _one_hot(g_n_eot * eot_won, eot_idx, eot.shape)
-        g_inv = g_inv + _one_hot(g_n_sot * sot_won, sot_idx, inverted.shape)
-    g_a = g_eot @ plan.pads[1].T
-    g_a = g_a + (-g_inv) @ plan.pads[0].T
+        g_eot = g_eot + _one_hot(g_n_eot * eot_won, eot_idx, q)
+        g_inv = g_inv + _one_hot(g_n_sot * sot_won, sot_idx, q)
+    # reshape, not [..., None], gives the strides of a fresh (q, 1) array.
+    g_a = g_eot.reshape(b, q, 1) @ plan.pads[1].T
+    g_a = g_a + (-g_inv).reshape(b, q, 1) @ plan.pads[0].T
 
-    # Backward through lac, objects last to first.
+    # Backward through lac, all objects at once, summed last to first.
     g_ratio = -(2.0 * short)
     g_num = g_ratio / den_floor
     g_den = (-g_ratio * num / (den_floor * den_floor)) * den_won
+    g_every, g_in = g_den[:, None], g_num[:, None]
+    if normalize:
+        g_every, g_in = g_every / norms, g_in / norms
+    g_cols = g_every[..., None]  # broadcasts like np.full(maps.shape, ...)
+    if normalize and not held:
+        g_norm = -g_den[:, None] * every / (norms * norms)
+        g_norm = g_norm + -g_num[:, None] * inbox / (norms * norms)
+        g_cols = _one_hot(g_norm * peak_won, peak_idx, q) + g_cols
+    g_cols = (g_cols + g_in[..., None] * plan.flats).reshape(b, k, q, 1)
     for i in reversed(range(k)):
-        g_every, g_in = g_den, g_num
-        if normalize:
-            g_every, g_in = g_den / norms[i], g_num / norms[i]
-        g_col = np.full(cols[i].shape, float(g_every))
-        if normalize and not held:
-            norm = norms[i]
-            g_norm = -g_den * every[i] / (norm * norm)
-            g_norm = g_norm + -g_num * inbox[i] / (norm * norm)
-            idx, won, _ = peaks[i]
-            g_col = _one_hot(g_norm * won, idx, g_col.shape) + g_col
-        g_col = g_col + np.full(cols[i].shape, float(g_in)) * flat_cols[i]
-        g_a = g_a + g_col @ plan.sel[:, i:i + 1].T
+        g_a = g_a + g_cols[:, i] @ plan.sel[:, i:i + 1].T
 
     # Backward through the softmax and both projections.
-    inner = (g_a * a).sum(axis=1, keepdims=True)
+    inner = (g_a * a).sum(axis=-1, keepdims=True)
     g_logits = a * (g_a - inner) / scale
-    return (g_logits @ kt.T) @ w_q.T, breakdown, a
+    return (g_logits @ kt.T) @ w_q.T, breakdowns, a
 
 
-def _guided_step(state: LatentState, index: int, plan: _Plan,
-                 cfg: GuidanceConfig
-                 ) -> tuple[LatentState, list[LossBreakdown], list[np.ndarray]]:
-    """Guided timestep ``index``: the updated latent, each iteration's loss
-    breakdown, and the attention values each iteration differentiated."""
-    lam = schedule(index, cfg)
-    losses, seen = [], []
-    for _ in range(cfg.iterations_per_step):
-        grad, breakdown, values = _loss_and_grad(plan, state.z, cfg)
-        state = update_latent(state, grad, cfg.gamma, lam)
-        losses.append(breakdown)
-        seen.append(values)
-    return state, losses, seen
+def _guided_step(z: np.ndarray, index: int, plan: _Plan,
+                 cfgs: Sequence[GuidanceConfig]
+                 ) -> tuple[np.ndarray, list[list[LossBreakdown]],
+                            list[list[np.ndarray]]]:
+    """Guided timestep ``index`` of a stack: the updated latents, each item's
+    loss breakdowns, and the attention values each item differentiated.
+
+    Items with ``index >= guided_steps`` keep their latent. The others take
+    their ``iterations_per_step`` updates in runs of adjacent items that
+    share ``_loss_key``: one stacked loss call per run and iteration.
+    """
+    runs: list[list[int]] = []
+    for i, cfg in enumerate(cfgs):
+        if index >= cfg.guided_steps:
+            continue
+        if runs and runs[-1][1] == i and \
+                _loss_key(cfgs[runs[-1][0]]) == _loss_key(cfg):
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1])
+    losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
+    seen: list[list[np.ndarray]] = [[] for _ in cfgs]
+    out = z
+    for lo, hi in runs:
+        part, zr = cfgs[lo:hi], z[lo:hi]
+        # update_latent's step, gamma * lambda, per item.
+        step = np.array([c.gamma * schedule(index, c) for c in part])
+        step = step.reshape(-1, 1, 1)
+        for _ in range(part[0].iterations_per_step):
+            grad, breakdowns, values = _loss_and_grad(plan, zr, part)
+            zr = zr - step * grad
+            for i, breakdown, value in zip(range(lo, hi), breakdowns, values):
+                losses[i].append(breakdown)
+                seen[i].append(value)
+        if hi - lo == len(z):
+            out = zr
+        else:
+            out = z.copy() if out is z else out
+            out[lo:hi] = zr
+    return out, losses, seen
+
+
+@dataclass(frozen=True)
+class _Track:
+    """One item of a stacked trajectory."""
+
+    curve: list[LossBreakdown]  # every iteration's breakdown, in order
+    steps: list[StepRecord]  # empty unless kept
+    z: np.ndarray  # the final latent
+    attention: AttentionMaps  # at the final latent
+
+
+def _trajectories(plan: _Plan, start: LatentState,
+                  cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig,
+                  keep_steps: bool = False) -> list[_Track]:
+    """Run one trajectory per config as one stack of latents.
+
+    The items share the plan, the start latent and each timestep's noise
+    draw, which the run seed and the timestep alone determine; ``gamma``,
+    ``alpha``, ``lac_normalize`` and ``guided_steps`` may differ. Each item
+    is bit-identical to its own run. ``keep_steps`` keeps each timestep's
+    ``StepRecord``; without it only the loss curve and the final latent and
+    attention are kept.
+    """
+    for cfg in cfgs:
+        if cfg.guided_steps > backbone.total_steps:
+            raise ContractError(
+                f"guided_steps={cfg.guided_steps} exceeds the "
+                f"{backbone.total_steps}-step trajectory")
+    rho = backbone.rho
+    if not 0.0 <= rho <= 1.0:
+        raise ContractError(f"rho must lie in [0, 1], got {rho}")
+    e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
+    value_rms = float(np.sqrt(np.mean(e_v * e_v)))
+    z = np.repeat(start.z[None], len(cfgs), axis=0)
+    curves: list[list[LossBreakdown]] = [[] for _ in cfgs]
+    steps: list[list[StepRecord]] = [[] for _ in cfgs]
+
+    # A latent that overflows raises the error below instead of warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(backbone.total_steps):
+            t = backbone.total_steps - index
+            z, losses, _ = _guided_step(z, index, plan, cfgs)
+            attn = _attention(plan, z)
+            # denoise_step on every item, with one shared noise draw.
+            expected = expected_latent_rms(backbone, index, value_rms)
+            sigma = np.array([effective_noise(backbone, t, item, expected)
+                              for item in z])
+            if (sigma < 0).any():
+                raise ContractError(
+                    f"sigma_t must be nonnegative, got {sigma.min()}")
+            z = (1.0 - rho) * z + rho * (attn @ e_v)
+            noisy = sigma > 0
+            if noisy.any():
+                rng = np.random.default_rng([start.rng_seed, 1, t])
+                noise = sigma[noisy, None, None] * rng.standard_normal(
+                    start.z.shape)
+                if noisy.all():
+                    z = z + noise
+                else:
+                    z[noisy] = z[noisy] + noise
+                del noise  # not held into the next timestep's peak
+            # Checked here, once per timestep: effective_noise cannot catch
+            # it, since max(0.0, nan) is 0.0.
+            finite = np.isfinite(z).all(axis=(1, 2))
+            if not finite.all():
+                bad = cfgs[int(np.argmin(finite))]
+                raise ContractError(
+                    f"latent turned non-finite at timestep {index} "
+                    f"(t={t}); gamma={bad.gamma:g} is too large")
+            for i, cfg in enumerate(cfgs):
+                curves[i] += losses[i]
+                if keep_steps:
+                    steps[i].append(StepRecord(
+                        index=index, t_after=t - 1,
+                        guided=index < cfg.guided_steps,
+                        losses=tuple(losses[i]), attention=attn[i],
+                        z_after=z[i]))
+
+    attn = _attention(plan, z)
+    tokens = plan.tokens
+    return [_Track(curve=curves[i], steps=steps[i], z=z[i],
+                   attention=AttentionMaps(
+                       a=Tape().constant(attn[i]), n=tokens.n,
+                       sot_index=tokens.sot_index, eot_index=tokens.eot_index,
+                       resolution=backbone.resolution))
+            for i in range(len(cfgs))]
 
 
 def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
@@ -567,44 +705,17 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     Each of the first ``cfg.guided_steps`` timesteps re-extracts attention,
     differentiates the combined loss, and steps the latent
     ``cfg.iterations_per_step`` times before one denoise; the remaining
-    timesteps denoise without guidance.
+    timesteps denoise without guidance. ``seeds`` is a nonnegative master
+    seed or a ``Seeds``.
     """
-    if cfg.guided_steps > backbone.total_steps:
-        raise ContractError(
-            f"guided_steps={cfg.guided_steps} exceeds the "
-            f"{backbone.total_steps}-step trajectory"
-        )
-    seeds, plan, state = _setup(layout, backbone, seeds)
-    e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
-    value_rms = float(np.sqrt(np.mean(e_v * e_v)))
-
-    steps: list[StepRecord] = []
-    # A latent that overflows raises the error below instead of warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for index in range(backbone.total_steps):
-            guided = index < cfg.guided_steps
-            losses: list[LossBreakdown] = []
-            if guided:
-                state, losses, _ = _guided_step(state, index, plan, cfg)
-            attn_values = _extract(state, plan, backbone).values
-            expected = expected_latent_rms(backbone, index, value_rms)
-            sigma_t = effective_noise(backbone, state.t, state.z, expected)
-            state = denoise_step(state, attn_values, plan.tokens, plan.proj,
-                                 backbone.rho, sigma_t)
-            # Checked here, once per timestep: effective_noise cannot catch
-            # it, since max(0.0, nan) is 0.0.
-            if not np.isfinite(state.z).all():
-                raise ContractError(
-                    f"latent turned non-finite at timestep {index} "
-                    f"(t={state.t + 1}); gamma={cfg.gamma:g} is too large")
-            steps.append(StepRecord(index=index, t_after=state.t,
-                                    guided=guided, losses=tuple(losses),
-                                    attention=attn_values, z_after=state.z))
-
+    seeds, plan, start = _setup(layout, backbone, seeds)
+    track, = _trajectories(plan, start, [cfg], backbone, keep_steps=True)
+    final = LatentState(z=track.z, t=0, total_steps=backbone.total_steps,
+                        rng_seed=seeds.latent)
     return GuidedRun(layout=layout, config=cfg, backbone=backbone, seeds=seeds,
-                     tokens=plan.tokens, masks=plan.masks, steps=tuple(steps),
-                     final_state=state,
-                     final_attention=_extract(state, plan, backbone))
+                     tokens=plan.tokens, masks=plan.masks,
+                     steps=tuple(track.steps), final_state=final,
+                     final_attention=track.attention)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +777,8 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     _, plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
 
-    analytic, _, values = _loss_and_grad(plan, z0, cfg)
+    grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
+    analytic, values = grads[0], values[0]
     target = target_maps(values, layout, plan.masks)
     frozen = (loss_norms(values, layout, plan.tokens.sot_index,
                          plan.tokens.eot_index) if detach_norms else None)
@@ -674,8 +786,8 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
         analytic[0, 0] += 1e-2
 
     def loss_at(z: np.ndarray) -> float:
-        return _loss_and_grad(plan, z, cfg, target, frozen,
-                              with_grad=False)[1].total
+        return _loss_and_grad(plan, z[None], [cfg], target, frozen,
+                              with_grad=False)[1][0].total
 
     flat = z0.reshape(-1).copy()
     numeric = np.zeros_like(flat)

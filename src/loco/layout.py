@@ -173,7 +173,7 @@ def parse_layout(text: str) -> Layout:
     """Parse and validate a layout document; errors name the bad field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer too long
         raise LayoutError(f"layout is not valid JSON: {err}") from None
     return layout_from_dict(doc)
 

@@ -36,7 +36,7 @@ def load_suite(directory: Path | str) -> list[tuple[str, Layout]]:
         try:
             suite.append((path.stem, layout_from_dict(
                 json.loads(path.read_text(encoding="utf-8")))))
-        except (LayoutError, json.JSONDecodeError, UnicodeDecodeError) as err:
+        except ValueError as err:  # bad JSON, layout or UTF-8; a huge int
             raise LayoutError(f"{path.name}: {err}") from None
     if not suite:
         raise ContractError(f"suite directory {directory} has no layouts")

@@ -289,6 +289,36 @@ def test_non_utf8_input_file_is_one_error_line(layout_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate --layout", "generate --config",
+                                     "bench --layout"])
+def test_huge_json_integer_is_one_error_line(layout_file, tmp_path, capsys,
+                                             command):
+    # Python refuses to convert an integer literal of more than 4300 digits.
+    huge = "9" * 5000
+    bad = tmp_path / "huge.json"
+    if command == "generate --config":
+        bad.write_text(f'{{"gamma": {huge}}}')
+        argv = ["generate", "--layout", str(layout_file), "--config", str(bad)]
+    else:
+        doc = json.loads(json.dumps(TWO_OBJECT_DOC))
+        doc["objects"][0]["box"][0] = 123456789  # replaced by huge below
+        bad.write_text(json.dumps(doc).replace("123456789", huge))
+        argv = ["generate", "--layout", str(bad)]
+        if command == "bench --layout":
+            suite_dir = tmp_path / "suite"
+            suite_dir.mkdir()
+            bad = bad.rename(suite_dir / bad.name)
+            argv = ["bench", "--layout", str(suite_dir)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert "4300 digits" in captured.err
+    if command != "generate --layout":
+        assert bad.name in captured.err
+    assert not out.exists()
+
+
 def test_bench_empty_suite_dir_fails(tmp_path, capsys):
     empty = tmp_path / "suite"
     empty.mkdir()

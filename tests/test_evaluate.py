@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from loco.backbone import AttentionMaps, BackboneConfig
+from loco.backbone import AttentionMaps, BackboneConfig, Seeds
 from loco.diffmath import ContractError, Tape
-from loco.evaluate import (ARMS, aggregate_records, arm_config,
-                           cross_mass_probe, decode_labels, detect_regions,
-                           iou, layout_metrics, run_benchmark)
-from loco.guidance import GuidanceConfig
+from loco import evaluate
+from loco.evaluate import (ARMS, DEFAULT_TAU, _evaluate, _record,
+                           aggregate_records, arm_config, cross_mass_probe,
+                           decode_labels, detect_regions, iou, layout_metrics,
+                           run_benchmark)
+from loco.guidance import GuidanceConfig, _trajectories, guided_sample
 from loco.layout import BoundingBox, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 
@@ -230,6 +232,9 @@ def test_cross_mass_probe_contracts():
     layout = single_object_layout()
     with pytest.raises(ContractError):
         cross_mass_probe(layout, GuidanceConfig(), BackboneConfig(), 0)
+    with pytest.raises(ContractError, match="guided step"):
+        cross_mass_probe(LAYOUT, GuidanceConfig(guided_steps=0),
+                         BackboneConfig(), 0)
     value = cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
     assert np.isfinite(value) and value > 0
 
@@ -286,18 +291,60 @@ def test_bundled_suite_composition():
     assert any(len(p.span) > 1 for _, layout in suite for p in layout.phrases)
 
 
-def test_traced_benchmark_has_one_sample_span_per_trajectory():
-    """The benchmark's layer trace rebinds ``evaluate.guided_sample``; every
-    arm and sweep point must reach it once per (layout, seed)."""
-    import importlib.util
-    from pathlib import Path
+def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
+        monkeypatch):
+    """One stacked run per (layout, seed) holds every distinct config once
+    (the gamma-30 sweep point is the lac_ptc arm), and every record equals
+    the one a solo ``guided_sample`` run of its config gives."""
+    stacks = []
 
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    with tracing.Tracer() as tracer:
-        run_benchmark(_mini_suite(("pair_cat_dog",)), GuidanceConfig(),
-                      BackboneConfig(), seeds=[0], gamma_sweep=[5.0, 30.0])
-    calls, _ = tracer.self_times()["guidance.guided_sample"]
-    assert calls == len(ARMS) + 2
+    def recording(plan, start, cfgs, backbone, keep_steps=False):
+        stacks.append(list(cfgs))
+        return _trajectories(plan, start, cfgs, backbone, keep_steps)
+
+    monkeypatch.setattr(evaluate, "_trajectories", recording)
+    suite, seeds, sweep = _mini_suite(), [0, 1], [5.0, 30.0]
+    cfg, backbone = GuidanceConfig(), BackboneConfig()
+    report = run_benchmark(suite, cfg, backbone, seeds, gamma_sweep=sweep)
+
+    groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
+    groups += [("gamma_sweep", GuidanceConfig(gamma=g)) for g in sweep]
+    distinct = [gcfg for _, gcfg in groups[:-1]]
+    assert stacks == [distinct] * (len(suite) * len(seeds))
+
+    def solo_records(label, gcfg):
+        records = []
+        for name, layout in suite:
+            for seed in seeds:
+                run = guided_sample(layout, gcfg, backbone, seed)
+                metrics, _ = _evaluate(layout, run.final_attention,
+                                       DEFAULT_TAU)
+                records.append(_record(name, seed, label, gcfg,
+                                       run.loss_curve(), metrics))
+        return records
+
+    solo = [solo_records(label, gcfg) for label, gcfg in groups]
+    arms = len(ARMS)
+    assert report.records == sum(solo[:arms], [])
+    assert report.gamma_sweep == [
+        {"gamma": gcfg.gamma, **aggregate_records(records)}
+        for (_, gcfg), records in zip(groups[arms:], solo[arms:])]
+
+
+def test_benchmark_reads_seeds_once():
+    suite = _mini_suite()
+    listed = run_benchmark(suite, GuidanceConfig(guided_steps=1),
+                           BackboneConfig(), seeds=[0, 2])
+    generated = run_benchmark(suite, GuidanceConfig(guided_steps=1),
+                              BackboneConfig(), seeds=(s for s in (0, 2)))
+    assert generated.seeds == (0, 2)
+    assert generated.to_json() == listed.to_json()
+    with pytest.raises(ContractError, match="at least one seed"):
+        run_benchmark(suite, GuidanceConfig(), BackboneConfig(), seeds=[])
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "3", Seeds.from_master(0)])
+def test_benchmark_rejects_bad_seeds(seed):
+    with pytest.raises(ContractError, match="seed must be"):
+        run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
+                      seeds=[seed])

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from loco.backbone import (AttentionMaps, BackboneConfig, Seeds,
-                           build_projections, cross_attention, embed_tokens,
-                           init_latent)
+                           build_projections, cross_attention, denoise_step,
+                           effective_noise, embed_tokens, expected_latent_rms,
+                           init_latent, value_matrix)
 from loco.diffmath import ContractError, Tape
-from loco.evaluate import arm_config
+from loco.evaluate import ARMS, arm_config
 from loco.guidance import (GuidanceConfig, _loss_and_grad, _setup,
-                           gradient_check, guided_sample, lac_loss, loco_loss,
-                           loss_norms, object_attention, object_maps, ptc_loss,
-                           ptc_maps, schedule, target_maps, update_latent)
+                           _trajectories, gradient_check, guided_sample,
+                           lac_loss, loco_loss, loss_norms, object_attention,
+                           object_maps, ptc_loss, ptc_maps, schedule,
+                           target_maps, update_latent)
 from loco.layout import Phrase, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 
@@ -324,26 +326,109 @@ def test_update_latent_arithmetic():
         update_latent(state, np.ones((3, 3)), 30.0, 1.0)
 
 
-def test_guided_steps_zero_matches_plain_backbone_loop():
-    from loco.backbone import (denoise_step, effective_noise,
-                               expected_latent_rms, value_matrix)
-
-    cfg = GuidanceConfig(guided_steps=0)
-    run = guided_sample(LAYOUT, cfg, BCFG, 6)
-
-    seeds = Seeds.from_master(6)
-    tokens = embed_tokens(LAYOUT.prompt, seeds.vocab, BCFG.d_e)
+def _oracle_run(layout, cfg, seed):
+    """The loop on the public oracles, one latent: ``cross_attention`` +
+    ``loco_loss`` + ``Tape.backward`` + ``update_latent`` per iteration,
+    ``denoise_step`` per timestep. Returns the latents after each step and
+    the loss curve."""
+    seeds = Seeds.from_master(seed)
+    tokens = embed_tokens(layout.prompt, seeds.vocab, BCFG.d_e)
     proj = build_projections(BCFG, seeds.proj)
+    masks = [rasterize_box(b) for b in layout.boxes]
     state = init_latent(BCFG, seeds.latent)
     e_v = value_matrix(tokens, proj, BCFG.d_z)
     vrms = float(np.sqrt(np.mean(e_v * e_v)))
+    latents, curve = [], []
     for index in range(BCFG.total_steps):
+        for _ in range(cfg.iterations_per_step if index < cfg.guided_steps
+                       else 0):
+            tape = Tape()
+            leaf = tape.leaf(state.z)
+            attn = cross_attention(tape, leaf, tokens, proj)
+            loss, breakdown = loco_loss(attn, layout, masks, cfg)
+            state = update_latent(state, tape.backward(loss)[leaf], cfg.gamma,
+                                  schedule(index, cfg))
+            curve.append(breakdown)
         tape = Tape()
         attn = cross_attention(tape, tape.constant(state.z), tokens, proj)
         sigma = effective_noise(BCFG, state.t, state.z,
                                 expected_latent_rms(BCFG, index, vrms))
         state = denoise_step(state, attn.values, tokens, proj, BCFG.rho, sigma)
-    assert np.array_equal(run.final_state.z, state.z)
+        latents.append(state.z)
+    return latents, curve
+
+
+def _stacked_run(layout, cfgs, seed):
+    _, plan, start = _setup(layout, BCFG, seed)
+    return _trajectories(plan, start, cfgs, BCFG, keep_steps=True)
+
+
+def test_guided_steps_zero_matches_plain_backbone_loop():
+    cfg = GuidanceConfig(guided_steps=0)
+    want, curve = _oracle_run(LAYOUT, cfg, 6)
+    assert curve == []
+    run = guided_sample(LAYOUT, cfg, BCFG, 6)
+    assert np.array_equal(run.final_state.z, want[-1])
+    # The same config as one item of a stack whose other items are guided.
+    stack = [GuidanceConfig(), cfg, arm_config(GuidanceConfig(), "lac_wo_norm")]
+    track = _stacked_run(LAYOUT, stack, 6)[1]
+    assert track.curve == [] and len(track.steps) == len(want)
+    for step, z in zip(track.steps, want):
+        assert np.array_equal(step.z_after, z)
+
+
+def test_stacked_guided_items_match_the_oracle_loop():
+    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS]
+    stack += [GuidanceConfig(gamma=300.0), GuidanceConfig(detach_norms=True),
+              GuidanceConfig(beta=0.5, guided_steps=3, iterations_per_step=2)]
+    layout = parse_layout(
+        (bundled_suite_dir() / "fusion_cup_hat.json").read_text())
+    tracks = _stacked_run(layout, stack, 2)
+    for cfg, track in zip(stack, tracks):
+        latents, curve = _oracle_run(layout, cfg, 2)
+        assert track.curve == curve and len(track.steps) == len(latents)
+        for step, z in zip(track.steps, latents):
+            assert np.array_equal(step.z_after, z)
+
+
+def _assert_same_run(track, run):
+    assert track.curve == run.loss_curve()
+    assert len(track.steps) == len(run.steps)
+    for got, want in zip(track.steps, run.steps):
+        assert (got.index, got.t_after, got.guided, got.losses) == \
+            (want.index, want.t_after, want.guided, want.losses)
+        assert np.array_equal(got.z_after, want.z_after)
+        assert np.array_equal(got.attention, want.attention)
+    assert np.array_equal(track.z, run.final_state.z)
+    assert np.array_equal(track.attention.values, run.final_attention.values)
+
+
+def test_stacked_run_equals_each_items_solo_run():
+    # Every arm and sweep point of the benchmark, the duplicate gamma-30
+    # point included, over the suite and two seeds.
+    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS]
+    stack += [GuidanceConfig(gamma=g) for g in (1.0, 5.0, 30.0, 300.0)]
+    for _, layout in load_suite(bundled_suite_dir()):
+        for seed in (0, 1):
+            solo = {}
+            for cfg, track in zip(stack, _stacked_run(layout, stack, seed)):
+                if cfg not in solo:
+                    solo[cfg] = guided_sample(layout, cfg, BCFG, seed)
+                _assert_same_run(track, solo[cfg])
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None])
+def test_bad_seed_raises_contract_error(seed):
+    with pytest.raises(ContractError, match="seed must be"):
+        guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG, seed)
+
+
+def test_seeds_instance_is_a_seed():
+    run = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG,
+                        Seeds.from_master(4))
+    again = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG, 4)
+    assert run.seeds == again.seeds
+    assert np.array_equal(run.final_state.z, again.final_state.z)
 
 
 def test_default_run_performs_fifty_updates():
@@ -432,24 +517,37 @@ def _tape_loss_and_grad(plan, z, layout, cfg, resolution=16, **overrides):
     return tape.backward(loss)[leaf], breakdown, attn.values
 
 
-def _assert_tied(plan, z, layout, cfg, resolution=16, **overrides):
-    """Gradient, breakdown and attention equal the tape's exactly."""
-    want = _tape_loss_and_grad(plan, z, layout, cfg, resolution, **overrides)
-    grad, breakdown, values = _loss_and_grad(plan, z, cfg, **overrides)
-    assert np.array_equal(grad, want[0])
-    assert breakdown == want[1]
-    assert np.array_equal(values, want[2])
-    assert _loss_and_grad(plan, z, cfg, with_grad=False, **overrides)[1] == \
-        breakdown
-    return grad
+def _assert_tied(plan, z, layout, cfgs, resolution=16, **overrides):
+    """Each item's gradient, breakdown and attention in a stacked call equal
+    the tape's on that item's latent exactly."""
+    grads, breakdowns, values = _loss_and_grad(plan, z, cfgs, **overrides)
+    for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
+                                                 values):
+        want = _tape_loss_and_grad(plan, item, layout, cfg, resolution,
+                                   **overrides)
+        assert np.array_equal(grad, want[0])
+        assert breakdown == want[1]
+        assert np.array_equal(value, want[2])
+    assert _loss_and_grad(plan, z, cfgs, with_grad=False,
+                          **overrides)[1] == breakdowns
+    return grads
 
 
-def _walk_tied(layout, seed, cfg, iterations=3):
+def _stack(cfg):
+    """A stack of three items that share cfg's flags; gamma and alpha, and
+    so the latents after the first update, differ."""
+    return [cfg, replace(cfg, gamma=5.0, alpha=0.0),
+            replace(cfg, gamma=300.0, alpha=0.5)]
+
+
+def _walk_tied(layout, seed, cfgs, iterations=3):
     """Tie the two gradients along the first iterations of a guided step."""
     _, plan, state = _setup(layout, BCFG, seed)
+    z = np.repeat(state.z[None], len(cfgs), axis=0)
+    step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
     for _ in range(iterations):
-        grad = _assert_tied(plan, state.z, layout, cfg)
-        state = update_latent(state, grad, cfg.gamma, schedule(0, cfg))
+        grads = _assert_tied(plan, z, layout, cfgs)
+        z = z - step[:, None, None] * grads
 
 
 TIE_CONFIGS = {
@@ -464,7 +562,7 @@ TIE_CONFIGS = {
 def test_closed_form_gradient_is_the_tape_gradient_on_the_suite(name):
     for _, layout in load_suite(bundled_suite_dir()):
         for seed in (0, 1):
-            _walk_tied(layout, seed, TIE_CONFIGS[name])
+            _walk_tied(layout, seed, _stack(TIE_CONFIGS[name]))
 
 
 def test_closed_form_gradient_is_the_tape_gradient_for_long_phrases():
@@ -475,7 +573,7 @@ def test_closed_form_gradient_is_the_tape_gradient_for_long_phrases():
     }""")
     assert len(layout.phrases[0].span) == 3
     for cfg in TIE_CONFIGS.values():
-        _walk_tied(layout, 5, replace(cfg, gamma=300.0))
+        _walk_tied(layout, 5, _stack(cfg))
 
 
 def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
@@ -490,7 +588,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     _, plan, _ = _setup(layout, backbone, 11)
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
-    values = _loss_and_grad(plan, z0, GuidanceConfig())[2]
+    values = _loss_and_grad(plan, z0[None], [GuidanceConfig()])[2][0]
     target = target_maps(values, layout, plan.masks)
     frozen = loss_norms(values, layout, plan.tokens.sot_index,
                         plan.tokens.eot_index)
@@ -498,5 +596,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     for cfg in TIE_CONFIGS.values():
         for overrides in ({"target": target}, {"frozen_norms": frozen},
                           {"target": target, "frozen_norms": frozen}):
-            for z in (z0, z1):
-                _assert_tied(plan, z, layout, cfg, resolution=8, **overrides)
+            # cfg at the base point and at a point away from it, and cfg's
+            # gamma/alpha variants away from it, as one stack.
+            _assert_tied(plan, np.stack([z0, z1, z1, z1]), layout,
+                         [cfg, *_stack(cfg)], resolution=8, **overrides)
