@@ -14,8 +14,10 @@ bit-reproducible.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from math import sqrt
 
 import numpy as np
@@ -54,6 +56,28 @@ def tokenize(prompt: str) -> list[str]:
     return _TOKEN_RE.findall(prompt.lower())
 
 
+def _check_fields(config, bounds: dict[str, tuple[float, float]]) -> None:
+    """Raise ``ContractError`` unless each field of a config dataclass has
+    its default's type (a float field also takes an int, and only bool
+    fields take a bool) and each number lies in its ``bounds`` entry. The
+    default entry, [1 for an int or 0 for a float, the largest float],
+    rejects NaN, infinities and ints beyond float range."""
+    top = sys.float_info.max
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        want = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, want):
+            raise ContractError(
+                f"{f.name} must be {kind.__name__}, got {value!r}")
+        low, high = bounds.get(f.name, (int(kind is int), top))
+        if kind is not bool and not low <= value <= high:
+            least = "nonnegative" if low == 0 else f"at least {low}"
+            most = "finite" if high == top else f"at most {high}"
+            raise ContractError(
+                f"{f.name} must be {least} and {most}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Dimensions and dynamics of the toy denoiser.
@@ -79,6 +103,9 @@ class BackboneConfig:
     # degrades on inputs pushed far beyond it (the toy's fidelity channel).
     ood_noise_gain: float = 5.5
     ood_slack: float = 1.5
+
+    def __post_init__(self):
+        _check_fields(self, {"rho": (0, 1)})
 
     @property
     def q(self) -> int:

@@ -44,10 +44,14 @@ GRADCHECK_TOLERANCE = 1e-4
 def _seed(args: argparse.Namespace) -> int:
     """The master seed: ``--seed``, else ``LOCO_SEED``, else 0."""
     source = "--seed" if args.seed is not None else "LOCO_SEED"
-    raw = str(args.seed) if args.seed is not None else os.environ.get(source, "0")
-    if not raw.isdecimal():
-        raise ContractError(f"{source} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+    raw = args.seed if args.seed is not None else os.environ.get(source, "0")
+    # ASCII digits only: isdecimal alone takes any script's digits.
+    try:
+        if raw.isascii() and raw.isdecimal():
+            return int(raw)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ContractError(f"{source} must be a nonnegative integer, got {raw!r}")
 
 
 def _read_text(path: Path, error: type[Exception]) -> str:
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--guided-steps", type=int, default=None)
         p.add_argument("--iters", type=int, default=None,
                        help="latent updates per guided step")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="master seed (default: LOCO_SEED or 0)")
         p.add_argument("--out", type=Path, default=Path("loco_out"))
         p.add_argument("--detach-norms", action="store_true", default=None)
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("gradcheck",
                           help="check the loss gradient against finite differences")
-    grad.add_argument("--seed", type=int, default=None)
+    grad.add_argument("--seed", default=None)
     grad.add_argument("--detach-norms", action="store_true", default=None,
                       help="check only the detached-divisor mode")
     grad.add_argument("--instances", type=int, default=10,

@@ -10,6 +10,7 @@ centroid-based relation checks) score layout adherence.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
@@ -18,7 +19,8 @@ from scipy import ndimage
 
 from .backbone import AttentionMaps, BackboneConfig
 from .diffmath import ContractError
-from .guidance import (GuidanceConfig, LossBreakdown, _guided_step, _setup,
+from .guidance import (GuidanceConfig, LossBreakdown, _flat_masks,
+                       _guided_step, _is_nonnegative_int, _setup,
                        _trajectories, object_maps)
 # Not called here; it stays a module attribute because perfbench's layer trace
 # and speed probe rebind it here.
@@ -164,7 +166,7 @@ def layout_metrics(detections: Sequence[Detection], layout: Layout,
     by_index = {d.index: d for d in detections}
     masks = [rasterize_box(b, attn.resolution) for b in layout.boxes]
     maps = object_maps(attn.values, layout)
-    flat_masks = np.stack([m.reshape(-1).astype(np.float64) for m in masks])
+    flat_masks = _flat_masks(masks, maps.shape[1])
     cross = tuple(
         tuple(
             float(np.sum(maps[i] * flat_masks[j]) / max(np.sum(maps[i]), 1e-12))
@@ -330,12 +332,18 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     if not seeds:
         raise ContractError("benchmark needs at least one seed")
     for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if not _is_nonnegative_int(seed):
             raise ContractError(
                 f"seed must be a nonnegative integer, got {seed!r}")
+    gammas = () if gamma_sweep is None else tuple(gamma_sweep)
+    if isinstance(gamma_sweep, (str, bytes)) or not all(
+            isinstance(g, numbers.Real) and not isinstance(g, bool)
+            for g in gammas):
+        raise ContractError(
+            f"gamma_sweep must be a sequence of numbers, got {gamma_sweep!r}")
     groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
     groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
-               for gamma in gamma_sweep or ()]
+               for gamma in gammas]
     configs = list(dict.fromkeys(gcfg for _, gcfg in groups))
     items = [configs.index(gcfg) for _, gcfg in groups]
     per_group: list[list[dict]] = [[] for _ in groups]

@@ -20,9 +20,8 @@ to the frozen denoiser.
 
 from __future__ import annotations
 
-import numbers
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from math import sqrt
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .backbone import (
     ProjectionSet,
     Seeds,
     TokenSet,
+    _check_fields,
     build_projections,
     effective_noise,
     embed_tokens,
@@ -93,28 +93,10 @@ class GuidanceConfig:
     lac_normalize: bool = True
 
     def __post_init__(self):
-        # Each field takes its default's type; a float field also takes an
-        # int, and only bool fields take a bool.
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            want = {float: numbers.Real, int: numbers.Integral}.get(kind, kind)
-            if isinstance(value, bool) != (kind is bool) or not isinstance(
-                    value, want):
-                raise ContractError(
-                    f"{f.name} must be {kind.__name__}, got {value!r}")
-        # The upper bound rejects NaN, infinities and ints beyond float range.
-        if not 0 < self.gamma <= sys.float_info.max:
-            raise ContractError(
-                f"gamma must be positive and finite, got {self.gamma}")
-        if not 0 <= self.alpha <= sys.float_info.max:
-            raise ContractError(
-                f"alpha must be nonnegative and finite, got {self.alpha}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ContractError(f"beta must lie in [0, 1], got {self.beta}")
-        if self.guided_steps < 0:
-            raise ContractError("guided_steps must be nonnegative")
-        if self.iterations_per_step < 1:
-            raise ContractError("iterations_per_step must be at least 1")
+        _check_fields(self, {"beta": (0, 1),
+                             "guided_steps": (0, sys.float_info.max)})
+        if self.gamma == 0:
+            raise ContractError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -376,11 +358,18 @@ class _Plan:
     pads: tuple[np.ndarray, np.ndarray]  # SoT and EoT columns of eye(n)
 
 
+def _is_nonnegative_int(value) -> bool:
+    """Whether value is a nonnegative int and not a bool, as a master seed
+    must be."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
+
+
 def _setup(layout: Layout, backbone: BackboneConfig, seeds: Seeds | int
            ) -> tuple[Seeds, _Plan, LatentState]:
     """Seeds, the run's constants and the start latent."""
     if not isinstance(seeds, Seeds):
-        if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
+        if not _is_nonnegative_int(seeds):
             raise ContractError(
                 f"seed must be a nonnegative integer or Seeds, got {seeds!r}")
         seeds = Seeds.from_master(seeds)
@@ -429,20 +418,15 @@ def _one_hot(g: np.ndarray, idx: np.ndarray, m: int) -> np.ndarray:
     return full
 
 
-def _loss_key(cfg: GuidanceConfig) -> tuple:
-    """What the items of one stacked loss call must share; ``gamma`` and
-    ``alpha`` may differ."""
-    return (cfg.lac_normalize, cfg.detach_norms, cfg.beta,
-            cfg.iterations_per_step)
-
-
 def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
                    with_grad: bool = True
                    ) -> tuple[np.ndarray | None, list[LossBreakdown], np.ndarray]:
     """``loco_loss`` at stacked latents z, (B, q, d_z), and its gradient, in
-    closed form; item b uses ``cfgs[b]``, and all share ``_loss_key``.
+    closed form; item b uses ``cfgs[b]``. The items share ``beta`` and
+    ``detach_norms`` (``_guided_step`` checks it) and take the rest from
+    their own config.
 
     Returns the gradients (None without ``with_grad``), one breakdown per
     item and the attention values. It repeats the tape's forward and
@@ -450,18 +434,17 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
     operand views, and each adjoint summed in the tape's reverse node order.
     So each item's three outputs are bit-identical to ``cross_attention`` +
     ``loco_loss`` + ``Tape.backward`` on its latent, which stay as the
-    oracle. ``target`` and ``frozen_norms`` act as in ``loco_loss``, on
-    every item.
+    oracle. An item without ``lac_normalize`` divides by 1.0 (exact), and
+    its divisor adjoint is selected away: adding zeros could flip a -0.0.
+    ``target`` and ``frozen_norms`` act as in ``loco_loss``, on every item.
     """
-    cfg = cfgs[0]
-    if len(cfgs) != z.shape[0] or len({_loss_key(c) for c in cfgs}) != 1:
-        raise ContractError("a stacked loss needs one config per latent, "
-                            "all with the same flags")
+    if len(cfgs) != z.shape[0]:
+        raise ContractError("a stacked loss needs one config per latent")
     alpha = np.array([c.alpha for c in cfgs], dtype=np.float64)
-    beta = float(cfg.beta)
-    normalize = cfg.lac_normalize
+    normalize = np.array([c.lac_normalize for c in cfgs])[:, None]
+    beta = float(cfgs[0].beta)
     # Detached or frozen divisors are constants: no adjoint reaches them.
-    held = cfg.detach_norms or frozen_norms is not None
+    held = cfgs[0].detach_norms or frozen_norms is not None
     kt, w_q = plan.keys.T, plan.proj.w_q
     scale = sqrt(w_q.shape[1])
     a = _attention(plan, z)
@@ -478,14 +461,12 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
     masked = maps * plan.flats
     inbox = masked.sum(axis=-1)  # (B, k)
     every = maps.sum(axis=-1)
-    if not normalize:
-        num_terms, den_terms = inbox, every
+    if frozen_norms is not None:
+        norms = np.array(frozen_norms.lac, dtype=np.float64)
     else:
-        if frozen_norms is not None:
-            norms = np.array(frozen_norms.lac, dtype=np.float64)
-        else:
-            peak_idx, peak_won, norms = _max_entry(maps)
-        num_terms, den_terms = inbox / norms, every / norms
+        peak_idx, peak_won, norms = _max_entry(maps)
+    norms = np.where(normalize, norms, 1.0)
+    num_terms, den_terms = inbox / norms, every / norms
     num, den = num_terms[:, 0], den_terms[:, 0]
     for i in range(1, k):
         num = num + num_terms[:, i]
@@ -551,14 +532,14 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
     g_ratio = -(2.0 * short)
     g_num = g_ratio / den_floor
     g_den = (-g_ratio * num / (den_floor * den_floor)) * den_won
-    g_every, g_in = g_den[:, None], g_num[:, None]
-    if normalize:
-        g_every, g_in = g_every / norms, g_in / norms
+    g_every, g_in = g_den[:, None] / norms, g_num[:, None] / norms
     g_cols = g_every[..., None]  # broadcasts like np.full(maps.shape, ...)
-    if normalize and not held:
+    if not held:
         g_norm = -g_den[:, None] * every / (norms * norms)
         g_norm = g_norm + -g_num[:, None] * inbox / (norms * norms)
-        g_cols = _one_hot(g_norm * peak_won, peak_idx, q) + g_cols
+        g_cols = np.where(normalize[..., None],
+                          _one_hot(g_norm * peak_won, peak_idx, q) + g_cols,
+                          g_cols)
     g_cols = (g_cols + g_in[..., None] * plan.flats).reshape(b, k, q, 1)
     for i in reversed(range(k)):
         g_a = g_a + g_cols[:, i] @ plan.sel[:, i:i + 1].T
@@ -576,38 +557,33 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     """Guided timestep ``index`` of a stack: the updated latents, each item's
     loss breakdowns, and the attention values each item differentiated.
 
-    Items with ``index >= guided_steps`` keep their latent. The others take
-    their ``iterations_per_step`` updates in runs of adjacent items that
-    share ``_loss_key``: one stacked loss call per run and iteration.
+    Items with ``index >= guided_steps`` keep their latent. The others, the
+    live items, must share ``beta``, ``detach_norms`` and
+    ``iterations_per_step``; they take their updates together, one stacked
+    loss call per iteration.
     """
-    runs: list[list[int]] = []
-    for i, cfg in enumerate(cfgs):
-        if index >= cfg.guided_steps:
-            continue
-        if runs and runs[-1][1] == i and \
-                _loss_key(cfgs[runs[-1][0]]) == _loss_key(cfg):
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i, i + 1])
+    live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
     seen: list[list[np.ndarray]] = [[] for _ in cfgs]
-    out = z
-    for lo, hi in runs:
-        part, zr = cfgs[lo:hi], z[lo:hi]
-        # update_latent's step, gamma * lambda, per item.
-        step = np.array([c.gamma * schedule(index, c) for c in part])
-        step = step.reshape(-1, 1, 1)
-        for _ in range(part[0].iterations_per_step):
-            grad, breakdowns, values = _loss_and_grad(plan, zr, part)
-            zr = zr - step * grad
-            for i, breakdown, value in zip(range(lo, hi), breakdowns, values):
-                losses[i].append(breakdown)
-                seen[i].append(value)
-        if hi - lo == len(z):
-            out = zr
-        else:
-            out = z.copy() if out is z else out
-            out[lo:hi] = zr
+    if not live:
+        return z, losses, seen
+    part = [cfgs[i] for i in live]
+    if len({(c.beta, c.detach_norms, c.iterations_per_step)
+            for c in part}) != 1:
+        raise ContractError("the guided items of a stack must share beta, "
+                            "detach_norms and iterations_per_step")
+    zr = z[live]
+    # update_latent's step, gamma * lambda, per item.
+    step = np.array([c.gamma * schedule(index, c) for c in part])
+    step = step.reshape(-1, 1, 1)
+    for _ in range(part[0].iterations_per_step):
+        grad, breakdowns, values = _loss_and_grad(plan, zr, part)
+        zr = zr - step * grad
+        for i, breakdown, value in zip(live, breakdowns, values):
+            losses[i].append(breakdown)
+            seen[i].append(value)
+    out = z.copy()
+    out[live] = zr
     return out, losses, seen
 
 
@@ -628,10 +604,11 @@ def _trajectories(plan: _Plan, start: LatentState,
 
     The items share the plan, the start latent and each timestep's noise
     draw, which the run seed and the timestep alone determine; ``gamma``,
-    ``alpha``, ``lac_normalize`` and ``guided_steps`` may differ. Each item
-    is bit-identical to its own run. ``keep_steps`` keeps each timestep's
-    ``StepRecord``; without it only the loss curve and the final latent and
-    attention are kept.
+    ``alpha``, ``lac_normalize`` and ``guided_steps`` may differ, while the
+    guided items share ``beta``, ``detach_norms`` and
+    ``iterations_per_step``. Each item is bit-identical to its own run.
+    ``keep_steps`` keeps each timestep's ``StepRecord``; without it only the
+    loss curve and the final latent and attention are kept.
     """
     for cfg in cfgs:
         if cfg.guided_steps > backbone.total_steps:
@@ -639,8 +616,6 @@ def _trajectories(plan: _Plan, start: LatentState,
                 f"guided_steps={cfg.guided_steps} exceeds the "
                 f"{backbone.total_steps}-step trajectory")
     rho = backbone.rho
-    if not 0.0 <= rho <= 1.0:
-        raise ContractError(f"rho must lie in [0, 1], got {rho}")
     e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
     z = np.repeat(start.z[None], len(cfgs), axis=0)
@@ -657,9 +632,6 @@ def _trajectories(plan: _Plan, start: LatentState,
             expected = expected_latent_rms(backbone, index, value_rms)
             sigma = np.array([effective_noise(backbone, t, item, expected)
                               for item in z])
-            if (sigma < 0).any():
-                raise ContractError(
-                    f"sigma_t must be nonnegative, got {sigma.min()}")
             z = (1.0 - rho) * z + rho * (attn @ e_v)
             noisy = sigma > 0
             if noisy.any():
@@ -768,12 +740,19 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     base-point values throughout. ``corrupt`` deliberately damages the
     analytic gradient, as a negative control for the harness itself.
     """
+    given = (seed, content_words, n_objects)
+    if not (all(map(_is_nonnegative_int, given)) and content_words >= 2
+            and 1 <= n_objects <= content_words <= len(_CHECK_WORDS)):
+        raise ContractError(
+            "seed must be a nonnegative integer, and 2 <= content_words <= "
+            f"{len(_CHECK_WORDS)} and 1 <= n_objects <= content_words; got "
+            f"(seed, content_words, n_objects) = {given!r}")
+    backbone = BackboneConfig(resolution=resolution, d_e=8, d_z=8)
     if resolution > 16:
         raise ContractError("finite differences need a latent of at most 16x16")
     cfg = GuidanceConfig(detach_norms=detach_norms)
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
-    backbone = BackboneConfig(resolution=resolution, d_e=8, d_z=8)
     _, plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
 

@@ -161,6 +161,24 @@ def test_denoise_contract_errors():
         denoise_step(state, attn[:, :-1], tokens, proj, 0.1, 0.0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(sigma0=float("nan")), dict(ood_noise_gain=float("nan")),
+    dict(resolution=0), dict(d_e=0), dict(d_z=-1), dict(total_steps=0),
+    dict(rho=1.5), dict(rho=-0.1), dict(sigma0=-0.05), dict(query_gain=-1.0),
+    dict(init_scale=float("inf")), dict(ood_slack=10 ** 400),
+    dict(resolution=16.0), dict(d_z=True), dict(rho="0.08"),
+])
+def test_backbone_config_validation(bad):
+    with pytest.raises(ContractError):
+        BackboneConfig(**bad)
+
+
+def test_backbone_config_edges_are_valid():
+    BackboneConfig(rho=0, sigma0=0.0, ood_noise_gain=0, total_steps=1,
+                   resolution=1, d_e=1, d_z=1)
+    BackboneConfig(rho=1.0)
+
+
 def test_latent_state_timestep_bounds():
     with pytest.raises(ContractError):
         LatentState(z=np.zeros((256, CFG.d_z)), t=52, total_steps=51, rng_seed=0)

@@ -188,6 +188,15 @@ def test_fuzzed_config_documents_build_or_fail_in_one_line(tmp_path_factory,
     (["--seed", "-1"], None, "--seed"),
     ([], "abc", "LOCO_SEED"),
     ([], "-3", "LOCO_SEED"),
+    # Only ASCII digits, from either source: no other script's digits, no
+    # underscores, no spaces, and no more digits than int() converts.
+    *[(["--seed", raw], None, "--seed")
+      for raw in ("\uff11\uff12", "1_0", " 3")],
+    *[([], raw, "LOCO_SEED")
+      for raw in ("\uff11\uff12", "\u0663", "1_0", " 3")],
+    pytest.param(["--seed", "9" * 5000], None, "--seed",
+                 id="5000-digits---seed"),
+    pytest.param([], "9" * 5000, "LOCO_SEED", id="5000-digits-LOCO_SEED"),
 ])
 def test_bad_seed_is_one_error_line(layout_file, tmp_path, capsys, monkeypatch,
                                     argv, env, source):

@@ -5,12 +5,13 @@ import pytest
 
 from loco.backbone import AttentionMaps, BackboneConfig, Seeds
 from loco.diffmath import ContractError, Tape
-from loco import evaluate
+from loco import evaluate, guidance
 from loco.evaluate import (ARMS, DEFAULT_TAU, _evaluate, _record,
                            aggregate_records, arm_config, cross_mass_probe,
                            decode_labels, detect_regions, iou, layout_metrics,
                            run_benchmark)
-from loco.guidance import GuidanceConfig, _trajectories, guided_sample
+from loco.guidance import (GuidanceConfig, _loss_and_grad, _trajectories,
+                           guided_sample)
 from loco.layout import BoundingBox, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 
@@ -348,3 +349,27 @@ def test_benchmark_rejects_bad_seeds(seed):
     with pytest.raises(ContractError, match="seed must be"):
         run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
                       seeds=[seed])
+
+
+@pytest.mark.parametrize("cfg", [
+    GuidanceConfig(), GuidanceConfig(guided_steps=3, iterations_per_step=2)])
+def test_benchmark_makes_one_loss_call_per_guided_iteration(cfg, monkeypatch):
+    """All guided arms and sweep points of a (layout, seed), lac_wo_norm
+    among them, share each iteration's one stacked loss call."""
+    calls = []
+
+    def counting(plan, z, cfgs, *args, **kwargs):
+        calls.append(len(cfgs))
+        return _loss_and_grad(plan, z, cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(guidance, "_loss_and_grad", counting)
+    run_benchmark(_mini_suite(("pair_cat_dog",)), cfg, BackboneConfig(),
+                  seeds=[0], gamma_sweep=[5.0, 300.0])
+    assert calls == [5] * (cfg.guided_steps * cfg.iterations_per_step)
+
+
+@pytest.mark.parametrize("sweep", ["12", b"12", [True], ["a"], [5.0, None]])
+def test_benchmark_rejects_bad_gamma_sweep(sweep):
+    with pytest.raises(ContractError, match="gamma_sweep"):
+        run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
+                      seeds=[0], gamma_sweep=sweep)

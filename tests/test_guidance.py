@@ -377,18 +377,34 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
         assert np.array_equal(step.z_after, z)
 
 
+def _arms(**flags):
+    return [arm_config(GuidanceConfig(**flags), arm) for arm in ARMS]
+
+
 def test_stacked_guided_items_match_the_oracle_loop():
-    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS]
-    stack += [GuidanceConfig(gamma=300.0), GuidanceConfig(detach_norms=True),
-              GuidanceConfig(beta=0.5, guided_steps=3, iterations_per_step=2)]
+    # One stack per set of shared loop flags, each with every arm.
     layout = parse_layout(
         (bundled_suite_dir() / "fusion_cup_hat.json").read_text())
-    tracks = _stacked_run(layout, stack, 2)
-    for cfg, track in zip(stack, tracks):
-        latents, curve = _oracle_run(layout, cfg, 2)
-        assert track.curve == curve and len(track.steps) == len(latents)
-        for step, z in zip(track.steps, latents):
-            assert np.array_equal(step.z_after, z)
+    for stack in (_arms() + [GuidanceConfig(gamma=300.0)],
+                  _arms(detach_norms=True),
+                  _arms(beta=0.5, guided_steps=3, iterations_per_step=2)):
+        tracks = _stacked_run(layout, stack, 2)
+        for cfg, track in zip(stack, tracks):
+            latents, curve = _oracle_run(layout, cfg, 2)
+            assert track.curve == curve and len(track.steps) == len(latents)
+            for step, z in zip(track.steps, latents):
+                assert np.array_equal(step.z_after, z)
+
+
+@pytest.mark.parametrize("flags", [dict(beta=0.5), dict(detach_norms=True),
+                                   dict(iterations_per_step=2)])
+def test_stack_of_guided_items_with_different_loop_flags_is_rejected(flags):
+    stack = [GuidanceConfig(), GuidanceConfig(**flags)]
+    with pytest.raises(ContractError, match="must share"):
+        _stacked_run(LAYOUT, stack, 0)
+    # An unguided item never runs the loss, so its flags may differ.
+    stack[1] = replace(stack[1], guided_steps=0)
+    assert len(_stacked_run(LAYOUT, stack, 0)) == 2
 
 
 def _assert_same_run(track, run):
@@ -499,6 +515,17 @@ def test_gradient_check_rejects_large_latents():
         gradient_check(0, resolution=32)
 
 
+@pytest.mark.parametrize("args", [
+    dict(resolution=0), dict(seed=-1), dict(seed=2.5),
+    dict(seed=True), dict(content_words=1), dict(content_words=20),
+    dict(content_words=3.0), dict(n_objects=0), dict(n_objects=True),
+    dict(n_objects=3, content_words=2),
+])
+def test_gradient_check_rejects_bad_arguments(args):
+    with pytest.raises(ContractError):
+        gradient_check(**{"seed": 0, **args})
+
+
 def test_non_finite_latent_raises_naming_the_timestep():
     layout = parse_layout((bundled_suite_dir() / "pair_cat_dog.json").read_text())
     with pytest.raises(ContractError, match="non-finite at timestep 0"):
@@ -556,13 +583,18 @@ TIE_CONFIGS = {
     "lac_ptc": GuidanceConfig(),
     "detach": GuidanceConfig(detach_norms=True),
 }
+# One stack whose items differ in lac_normalize: the guided benchmark arms.
+MIXED_NORMALIZE = [TIE_CONFIGS[name] for name in ("lac_wo_norm", "lac",
+                                                  "lac_ptc")]
+TIE_STACKS = {name: _stack(cfg) for name, cfg in TIE_CONFIGS.items()}
+TIE_STACKS["mixed_normalize"] = MIXED_NORMALIZE
 
 
-@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+@pytest.mark.parametrize("name", sorted(TIE_STACKS))
 def test_closed_form_gradient_is_the_tape_gradient_on_the_suite(name):
     for _, layout in load_suite(bundled_suite_dir()):
         for seed in (0, 1):
-            _walk_tied(layout, seed, _stack(TIE_CONFIGS[name]))
+            _walk_tied(layout, seed, TIE_STACKS[name])
 
 
 def test_closed_form_gradient_is_the_tape_gradient_for_long_phrases():
@@ -572,8 +604,8 @@ def test_closed_form_gradient_is_the_tape_gradient_for_long_phrases():
                   {"phrase": "dog", "box": [0.5, 0.0, 1.0, 0.5]}]
     }""")
     assert len(layout.phrases[0].span) == 3
-    for cfg in TIE_CONFIGS.values():
-        _walk_tied(layout, 5, _stack(cfg))
+    for stack in TIE_STACKS.values():
+        _walk_tied(layout, 5, stack)
 
 
 def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
@@ -593,10 +625,13 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     frozen = loss_norms(values, layout, plan.tokens.sot_index,
                         plan.tokens.eot_index)
     z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
-    for cfg in TIE_CONFIGS.values():
-        for overrides in ({"target": target}, {"frozen_norms": frozen},
-                          {"target": target, "frozen_norms": frozen}):
+    for overrides in ({}, {"target": target}, {"frozen_norms": frozen},
+                      {"target": target, "frozen_norms": frozen}):
+        for cfg in TIE_CONFIGS.values():
             # cfg at the base point and at a point away from it, and cfg's
             # gamma/alpha variants away from it, as one stack.
             _assert_tied(plan, np.stack([z0, z1, z1, z1]), layout,
                          [cfg, *_stack(cfg)], resolution=8, **overrides)
+        # Items that differ in lac_normalize, at both points, as one stack.
+        _assert_tied(plan, np.stack([z0] * 3 + [z1] * 3), layout,
+                     MIXED_NORMALIZE * 2, resolution=8, **overrides)
