@@ -275,8 +275,12 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
                                     content_words=content, n_objects=objects,
                                     detach_norms=detach,
                                     corrupt=args.corrupt_gradient)
-            print(f"seed={seed + i} tokens={content + 2} detach={detach}: "
-                  f"rel_err={result.max_rel_error:.3e}")
+            instance = f"seed={seed + i} tokens={content + 2} detach={detach}"
+            print(f"{instance}: rel_err={result.max_rel_error:.3e}")
+            if not np.isfinite(result.max_rel_error):
+                print(f"FAIL: non-finite relative error at {instance}",
+                      file=sys.stderr)
+                return 1
             if result.max_rel_error > worst:
                 worst = result.max_rel_error
                 worst_where = result.worst_coordinate

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -328,6 +328,9 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     """
     if not suite:
         raise ContractError("benchmark suite is empty")
+    if isinstance(seeds, (str, bytes)) or not isinstance(seeds, Iterable):
+        raise ContractError(
+            f"seeds must be an iterable of nonnegative integers, got {seeds!r}")
     seeds = tuple(seeds)
     if not seeds:
         raise ContractError("benchmark needs at least one seed")
@@ -335,8 +338,10 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         if not _is_nonnegative_int(seed):
             raise ContractError(
                 f"seed must be a nonnegative integer, got {seed!r}")
-    gammas = () if gamma_sweep is None else tuple(gamma_sweep)
-    if isinstance(gamma_sweep, (str, bytes)) or not all(
+    sweep = () if gamma_sweep is None else gamma_sweep
+    gammas = (tuple(sweep) if isinstance(sweep, Iterable)
+              and not isinstance(sweep, (str, bytes)) else None)
+    if gammas is None or not all(
             isinstance(g, numbers.Real) and not isinstance(g, bool)
             for g in gammas):
         raise ContractError(

@@ -728,18 +728,11 @@ def _random_layout(rng: np.random.Generator, n_objects: int,
     return layout_from_dict(doc)
 
 
-def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
-                   n_objects: int = 2, detach_norms: bool = False,
-                   corrupt: bool = False) -> GradCheckResult:
-    """Compare the combined loss gradient against central differences.
-
-    Builds a seeded random layout and latent at the given grid size and
-    differences every latent entry. Detached quantities (the cross-entropy
-    target, and the rescaling divisors when ``detach_norms`` is on) are
-    constants of the differentiated function, so they are held at their
-    base-point values throughout. ``corrupt`` deliberately damages the
-    analytic gradient, as a negative control for the harness itself.
-    """
+def _check_instance(seed: int, resolution: int, content_words: int,
+                    n_objects: int, detach_norms: bool
+                    ) -> tuple[Layout, _Plan, GuidanceConfig, np.ndarray]:
+    """``gradient_check``'s seeded problem, after checking its arguments: the
+    random layout, its plan, the config and the base latent."""
     given = (seed, content_words, n_objects)
     if not (all(map(_is_nonnegative_int, given)) and content_words >= 2
             and 1 <= n_objects <= content_words <= len(_CHECK_WORDS)):
@@ -750,11 +743,36 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     backbone = BackboneConfig(resolution=resolution, d_e=8, d_z=8)
     if resolution > 16:
         raise ContractError("finite differences need a latent of at most 16x16")
-    cfg = GuidanceConfig(detach_norms=detach_norms)
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
     _, plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
+    return layout, plan, GuidanceConfig(detach_norms=detach_norms), z0
+
+
+# Coordinates per stacked forward call of the central differences: a stack
+# of 64 latents. Larger chunks ran no faster and raised the peak RSS.
+_FD_CHUNK = 32
+
+
+def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
+                   n_objects: int = 2, detach_norms: bool = False,
+                   corrupt: bool = False) -> GradCheckResult:
+    """Compare the combined loss gradient against central differences.
+
+    Builds a seeded random layout and latent at the given grid size and
+    differences every latent entry. Detached quantities (the cross-entropy
+    target, and the rescaling divisors when ``detach_norms`` is on) are
+    constants of the differentiated function, so they are held at their
+    base-point values throughout. The differences run as stacked forward
+    calls, the +step and -step latents of up to ``_FD_CHUNK`` coordinates
+    per call; each item is bit-identical to its own one-latent call, so
+    ``numeric`` equals differencing one coordinate at a time, byte for
+    byte. ``corrupt`` deliberately damages the analytic gradient, as a
+    negative control for the harness itself.
+    """
+    layout, plan, cfg, z0 = _check_instance(seed, resolution, content_words,
+                                            n_objects, detach_norms)
 
     grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
     analytic, values = grads[0], values[0]
@@ -764,20 +782,19 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     if corrupt:
         analytic[0, 0] += 1e-2
 
-    def loss_at(z: np.ndarray) -> float:
-        return _loss_and_grad(plan, z[None], [cfg], target, frozen,
-                              with_grad=False)[1][0].total
-
-    flat = z0.reshape(-1).copy()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        kept = flat[i]
-        flat[i] = kept + FD_STEP
-        up = loss_at(flat.reshape(z0.shape))
-        flat[i] = kept - FD_STEP
-        down = loss_at(flat.reshape(z0.shape))
-        flat[i] = kept
-        numeric[i] = (up - down) / (2.0 * FD_STEP)
+    flat = z0.reshape(-1)
+    numeric = np.empty(flat.size)
+    for start in range(0, flat.size, _FD_CHUNK):
+        idx = np.arange(start, min(start + _FD_CHUNK, flat.size))
+        c = idx.size
+        zs = np.tile(flat, (2 * c, 1))
+        zs[np.arange(c), idx] = flat[idx] + FD_STEP
+        zs[np.arange(c, 2 * c), idx] = flat[idx] - FD_STEP
+        _, parts, _ = _loss_and_grad(plan, zs.reshape((2 * c,) + z0.shape),
+                                     [cfg] * (2 * c), target, frozen,
+                                     with_grad=False)
+        totals = np.array([part.total for part in parts])
+        numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 
     gap = np.abs(analytic - numeric)

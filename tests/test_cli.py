@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loco import cli
 from loco.cli import _guidance_config, build_parser, main, write_pgm
 from loco.diffmath import ContractError
-from loco.guidance import GuidanceConfig
+from loco.guidance import GradCheckResult, GuidanceConfig
 from loco.suite import bundled_suite_dir
 from strategies import mostly
 
@@ -361,3 +362,17 @@ def test_gradcheck_corrupt_negative_control(capsys):
                  "--corrupt-gradient"]) == 1
     err = capsys.readouterr().err
     assert "coordinate" in err
+
+
+def test_gradcheck_fails_on_a_non_finite_error(capsys, monkeypatch):
+    """A NaN error compares false with every bound, so it must fail by
+    itself rather than never becoming the worst."""
+    def nan_check(seed, **kwargs):
+        grad = np.zeros((64, 8))
+        return GradCheckResult(float("nan") if seed == 6 else 0.0, (0, 0),
+                               grad, grad)
+
+    monkeypatch.setattr(cli, "gradient_check", nan_check)
+    assert main(["gradcheck", "--seed", "5", "--instances", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "seed=6" in err

@@ -351,6 +351,13 @@ def test_benchmark_rejects_bad_seeds(seed):
                       seeds=[seed])
 
 
+@pytest.mark.parametrize("seeds", [5, None, 2.5, "03", b"03"])
+def test_benchmark_rejects_scalar_or_text_seeds(seeds):
+    with pytest.raises(ContractError, match="seeds must be"):
+        run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
+                      seeds=seeds)
+
+
 @pytest.mark.parametrize("cfg", [
     GuidanceConfig(), GuidanceConfig(guided_steps=3, iterations_per_step=2)])
 def test_benchmark_makes_one_loss_call_per_guided_iteration(cfg, monkeypatch):
@@ -368,7 +375,8 @@ def test_benchmark_makes_one_loss_call_per_guided_iteration(cfg, monkeypatch):
     assert calls == [5] * (cfg.guided_steps * cfg.iterations_per_step)
 
 
-@pytest.mark.parametrize("sweep", ["12", b"12", [True], ["a"], [5.0, None]])
+@pytest.mark.parametrize("sweep", ["12", b"12", [True], ["a"], [5.0, None],
+                                   5.0, 5, True])
 def test_benchmark_rejects_bad_gamma_sweep(sweep):
     with pytest.raises(ContractError, match="gamma_sweep"):
         run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),

@@ -12,13 +12,16 @@ from loco.backbone import (AttentionMaps, BackboneConfig, Seeds,
                            init_latent, value_matrix)
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
-from loco.guidance import (GuidanceConfig, _loss_and_grad, _setup,
-                           _trajectories, gradient_check, guided_sample,
+from loco import guidance
+from loco.guidance import (FD_STEP, GuidanceConfig, _check_instance,
+                           _loss_and_grad, _setup, _trajectories,
+                           gradient_check, guided_sample,
                            lac_loss, loco_loss, loss_norms, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
                            target_maps, update_latent)
 from loco.layout import Phrase, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
+from oracles import central_difference
 
 BCFG = BackboneConfig()
 
@@ -508,6 +511,53 @@ def test_gradient_check_minimal_four_token_chain():
 def test_gradient_check_negative_control():
     result = gradient_check(7, resolution=8, corrupt=True)
     assert result.max_rel_error > 1e-4
+
+
+# (resolution, content_words, n_objects, detach_norms): 6x6 ends in a
+# partial chunk of the stacked differences.
+_FD_CASES = [(r, w, o, d) for r in (6, 8, 16) for w, o in ((2, 2), (4, 2), (6, 1))
+             for d in (False, True)]
+
+
+@pytest.mark.parametrize("resolution,words,objects,detach", _FD_CASES)
+def test_gradient_check_differences_equal_one_coordinate_at_a_time(
+        resolution, words, objects, detach):
+    """The stacked central differences are byte-identical to the oracle's
+    one-coordinate-at-a-time differences of the one-latent forward, with
+    the target (and, detached, the divisors) held at the base point."""
+    layout, plan, cfg, z0 = _check_instance(5, resolution, words, objects,
+                                            detach)
+    grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
+    target = target_maps(values[0], layout, plan.masks)
+    frozen = (loss_norms(values[0], layout, plan.tokens.sot_index,
+                         plan.tokens.eot_index) if detach else None)
+
+    def f(z):
+        return _loss_and_grad(plan, z[None], [cfg], target, frozen,
+                              with_grad=False)[1][0].total
+
+    result = gradient_check(5, resolution=resolution, content_words=words,
+                            n_objects=objects, detach_norms=detach)
+    want = central_difference(f, z0, h=FD_STEP)
+    assert result.numeric.tobytes() == want.tobytes()
+    assert result.analytic.tobytes() == grads[0].tobytes()
+
+
+@pytest.mark.parametrize("resolution,calls", [(8, 17), (6, 10)])
+def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
+    """One gradient call, then one forward call per 32 coordinates: 1 +
+    ceil(q * d_z / 32), not one call per perturbed latent."""
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[1].shape[0])
+        return _loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(guidance, "_loss_and_grad", counting)
+    gradient_check(3, resolution=resolution)
+    coords = resolution * resolution * 8
+    assert len(seen) == calls == 1 + math.ceil(coords / 32)
+    assert sum(seen) == 1 + 2 * coords
 
 
 def test_gradient_check_rejects_large_latents():
