@@ -42,12 +42,12 @@ for index in (0, 5, 10, 20, 35, 50):
 
 # Determinism: identical seeds replay the trajectory bit for bit.
 replay = guided_sample(layout, unguided, cfg, seeds=0)
-assert np.array_equal(replay.final_state.z, run.final_state.z)
+assert np.array_equal(replay.final_z, run.final_z)
 print("replay with the same seed: bit-identical")
 
 # The final winner map of an unguided run is a random speckle; no object
 # forms a coherent region without guidance.
-labels = run.final_attention.values.argmax(axis=1).reshape(16, 16)
+labels = run.final_attention.argmax(axis=1).reshape(16, 16)
 print("final winner map (token index per pixel):")
 for row in labels:
     print("  " + "".join(str(v) for v in row))

@@ -25,7 +25,6 @@ import numpy as np
 from .diffmath import ContractError, ShapeError, Tape, Var, matmul, row_softmax
 
 __all__ = [
-    "AttentionMaps",
     "BackboneConfig",
     "LatentState",
     "ProjectionSet",
@@ -138,14 +137,6 @@ class TokenSet:
     def n(self) -> int:
         return self.e.shape[0]
 
-    @property
-    def sot_index(self) -> int:
-        return 0
-
-    @property
-    def eot_index(self) -> int:
-        return self.n - 1
-
 
 def _word_embedding(word: str, vocab_seed: int, d_e: int) -> np.ndarray:
     digest = hashlib.blake2b(
@@ -218,30 +209,12 @@ def init_latent(cfg: BackboneConfig, rng_seed: int) -> LatentState:
                        rng_seed=rng_seed)
 
 
-@dataclass(frozen=True)
-class AttentionMaps:
-    """Per-token spatial attention, row-stochastic across tokens per pixel."""
-
-    a: Var  # (q, n), recorded on a tape
-    n: int
-    sot_index: int
-    eot_index: int
-    resolution: int
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.a.value
-
-    def token_map(self, i: int) -> np.ndarray:
-        """Token i's attention as a (resolution, resolution) grid."""
-        return self.values[:, i].reshape(self.resolution, self.resolution)
-
-
 def cross_attention(tape: Tape, z: Var, tokens: TokenSet,
-                    proj: ProjectionSet, resolution: int = 16) -> AttentionMaps:
-    """Row-softmaxed scaled query/key product, recorded on the tape.
+                    proj: ProjectionSet) -> Var:
+    """Row-softmaxed scaled query/key product, (q, n), recorded on the tape.
 
     Gradients flow to ``z``; token embeddings and projections are frozen.
+    Column 0 is the SoT token's map and column -1 the EoT token's.
     """
     d_z, d = proj.w_q.shape
     if z.value.ndim != 2 or z.value.shape[1] != d_z:
@@ -251,16 +224,10 @@ def cross_attention(tape: Tape, z: Var, tokens: TokenSet,
             f"embedding width {tokens.e.shape[1]} does not match "
             f"projection d_e={proj.w_k.shape[0]}"
         )
-    if z.value.shape[0] != resolution * resolution:
-        raise ShapeError(
-            f"latent has {z.value.shape[0]} pixels, expected {resolution ** 2}"
-        )
     k = tokens.e @ proj.w_k  # (n, d), constant
     q = matmul(z, tape.constant(proj.w_q))
     logits = matmul(q, tape.constant(k.T))
-    a = row_softmax(logits, sqrt(d))
-    return AttentionMaps(a=a, n=tokens.n, sot_index=tokens.sot_index,
-                         eot_index=tokens.eot_index, resolution=resolution)
+    return row_softmax(logits, sqrt(d))
 
 
 def value_matrix(tokens: TokenSet, proj: ProjectionSet, d_z: int) -> np.ndarray:

@@ -113,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="check only the detached-divisor mode")
     grad.add_argument("--instances", type=int, default=10,
                       help="seeded instances per mode")
-    grad.add_argument("--corrupt-gradient", action="store_true",
-                      help=argparse.SUPPRESS)  # negative-control test hook
     return parser
 
 
@@ -167,15 +165,16 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
     with (out / "losses.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "iteration", "lac", "ptc", "total"])
-        for step in run.steps:
+        for index, step in enumerate(run.steps):
             for it, bd in enumerate(step.losses):
-                writer.writerow([step.index, it, repr(bd.lac), repr(bd.ptc),
+                writer.writerow([index, it, repr(bd.lac), repr(bd.ptc),
                                  repr(bd.total)])
     written.append("losses.csv")
 
-    metrics, labels = _evaluate(run.layout, run.final_attention, DEFAULT_TAU)
+    metrics, labels = _evaluate(run.layout, run.final_attention)
+    res = run.backbone.resolution
     (out / "labels.json").write_text(json.dumps({
-        "resolution": run.final_attention.resolution,
+        "resolution": res,
         "tau": DEFAULT_TAU,
         "labels": labels.tolist(),
     }, indent=2) + "\n")
@@ -184,11 +183,8 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
     attn = run.final_attention
     names = ["sot"] + [f"obj{i + 1}_{_slug(p.text)}"
                        for i, p in enumerate(run.layout.phrases)] + ["eot"]
-    res = attn.resolution
-    maps = object_maps(attn.values, run.layout)
-    grids = ([attn.token_map(attn.sot_index)]
-             + [m.reshape(res, res) for m in maps]
-             + [attn.token_map(attn.eot_index)])
+    maps = [attn[:, 0]] + list(object_maps(attn, run.layout)) + [attn[:, -1]]
+    grids = [m.reshape(res, res) for m in maps]
     for name, grid in zip(names, grids):
         fname = f"heatmap_{name}.pgm"
         write_pgm(out / fname, grid)
@@ -273,8 +269,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         for detach in modes:
             result = gradient_check(seed + i, resolution=8,
                                     content_words=content, n_objects=objects,
-                                    detach_norms=detach,
-                                    corrupt=args.corrupt_gradient)
+                                    detach_norms=detach)
             instance = f"seed={seed + i} tokens={content + 2} detach={detach}"
             print(f"{instance}: rel_err={result.max_rel_error:.3e}")
             if not np.isfinite(result.max_rel_error):

@@ -10,6 +10,7 @@ centroid-based relation checks) score layout adherence.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass, replace
 from collections.abc import Iterable, Sequence
@@ -17,8 +18,8 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .backbone import AttentionMaps, BackboneConfig
-from .diffmath import ContractError
+from .backbone import BackboneConfig
+from .diffmath import ContractError, ShapeError
 from .guidance import (GuidanceConfig, LossBreakdown, _flat_masks,
                        _guided_step, _is_nonnegative_int, _setup,
                        _trajectories, object_maps)
@@ -81,22 +82,33 @@ class LayoutMetrics:
         return float(np.mean([o.iou for o in self.objects]))
 
 
-def decode_labels(attn: AttentionMaps, layout: Layout,
+def _grid_side(attn: np.ndarray) -> int:
+    """The side of the square grid whose cells are the rows of a (q, n)
+    attention array."""
+    q = attn.shape[0]
+    side = math.isqrt(q)
+    if side * side != q:
+        raise ShapeError(f"{q} attention rows do not form a square grid")
+    return side
+
+
+def decode_labels(attn: np.ndarray, layout: Layout,
                   tau: float = DEFAULT_TAU) -> np.ndarray:
     """Cellwise argmax over max-rescaled object maps; background below tau.
 
+    ``attn`` is a (q, n) attention array over a square grid of q cells.
     Returns a (resolution, resolution) integer grid with 0 for background
     and i+1 for object i.
     """
     if not 0.0 < tau < 1.0:
         raise ContractError(f"tau must lie in (0, 1), got {tau}")
-    maps = object_maps(attn.values, layout)
+    res = _grid_side(attn)
+    maps = object_maps(attn, layout)
     peaks = np.maximum(maps.max(axis=1, keepdims=True), 1e-12)
     scaled = maps / peaks
     best = scaled.argmax(axis=0)
     best_value = scaled.max(axis=0)
     labels = np.where(best_value >= tau, best + 1, 0)
-    res = attn.resolution
     return labels.reshape(res, res).astype(np.int64)
 
 
@@ -156,16 +168,17 @@ def _relation_holds(kind: str, ca: tuple[float, float],
 
 
 def layout_metrics(detections: Sequence[Detection], layout: Layout,
-                   attn: AttentionMaps) -> LayoutMetrics:
+                   attn: np.ndarray) -> LayoutMetrics:
     """Per-object detection quality plus layout-level correctness flags.
 
     A layout counts as correct only when every object is detected with
     IoU >= 0.5 against its ground-truth box. Relations compare detection
     centroids; an undetected endpoint makes the relation incorrect.
+    ``attn`` is a (q, n) attention array over a square grid of q cells.
     """
     by_index = {d.index: d for d in detections}
-    masks = [rasterize_box(b, attn.resolution) for b in layout.boxes]
-    maps = object_maps(attn.values, layout)
+    masks = [rasterize_box(b, _grid_side(attn)) for b in layout.boxes]
+    maps = object_maps(attn, layout)
     flat_masks = _flat_masks(masks, maps.shape[1])
     cross = tuple(
         tuple(
@@ -236,10 +249,10 @@ def arm_config(cfg: GuidanceConfig, arm: str) -> GuidanceConfig:
     raise ContractError(f"unknown benchmark arm {arm!r}")
 
 
-def _evaluate(layout: Layout, attn: AttentionMaps,
-              tau: float) -> tuple[LayoutMetrics, np.ndarray]:
+def _evaluate(layout: Layout,
+              attn: np.ndarray) -> tuple[LayoutMetrics, np.ndarray]:
     """Metrics and label map of a run's final attention."""
-    labels = decode_labels(attn, layout, tau)
+    labels = decode_labels(attn, layout)
     detections = detect_regions(labels)
     return layout_metrics(detections, layout, attn), labels
 
@@ -296,20 +309,8 @@ class BenchReport:
     aggregates: dict
     gamma_sweep: list[dict]
 
-    def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "backbone": asdict(self.backbone),
-            "seeds": list(self.seeds),
-            "arms": list(self.arms),
-            "tau": self.tau,
-            "records": self.records,
-            "aggregates": self.aggregates,
-            "gamma_sweep": self.gamma_sweep,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
@@ -356,7 +357,7 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         for seed in seeds:
             _, plan, start = _setup(layout, backbone, seed)
             tracks = _trajectories(plan, start, configs, backbone)
-            scores = [_evaluate(layout, track.attention, DEFAULT_TAU)[0]
+            scores = [_evaluate(layout, track.attention)[0]
                       for track in tracks]
             for (label, gcfg), i, group in zip(groups, items, per_group):
                 group.append(_record(name, seed, label, gcfg, tracks[i].curve,

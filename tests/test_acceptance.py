@@ -210,7 +210,7 @@ def test_criterion_9_invariant_suite(bench):
         run = guided_sample(layout, GCFG, BCFG, seed)
         for step in run.steps:
             assert np.max(np.abs(step.attention.sum(axis=1) - 1.0)) <= 1e-12
-        final = run.final_attention.values
+        final = run.final_attention
         assert np.max(np.abs(final.sum(axis=1) - 1.0)) <= 1e-12
 
     report, _ = bench

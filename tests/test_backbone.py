@@ -22,7 +22,10 @@ def test_tokenize_splits_words_and_punctuation():
 def test_embed_token_count():
     tokens = embed_tokens("cat dog", 0)
     assert tokens.n == 4  # [SoT] cat dog [EoT]
-    assert tokens.sot_index == 0 and tokens.eot_index == 3
+    # SoT is the first row and EoT the last, whatever the prompt.
+    other = embed_tokens("bird", 0)
+    assert np.array_equal(tokens.e[0], other.e[0])
+    assert np.array_equal(tokens.e[-1], other.e[-1])
     assert tokens.e.shape == (4, CFG.d_e)
 
 
@@ -63,8 +66,7 @@ def test_attention_rows_are_distributions():
     proj = build_projections(CFG, 2)
     state = init_latent(CFG, 3)
     tape = Tape()
-    attn = cross_attention(tape, tape.constant(state.z), tokens, proj)
-    values = attn.values
+    values = cross_attention(tape, tape.constant(state.z), tokens, proj).value
     assert values.shape == (256, tokens.n)
     assert np.max(np.abs(values.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all(values > 0) and np.all(values < 1)
@@ -75,7 +77,7 @@ def test_zero_latent_gives_uniform_attention():
     proj = build_projections(CFG, 2)
     tape = Tape()
     attn = cross_attention(tape, tape.constant(np.zeros((256, CFG.d_z))), tokens, proj)
-    assert np.allclose(attn.values, 1.0 / tokens.n, atol=1e-15)
+    assert np.allclose(attn.value, 1.0 / tokens.n, atol=1e-15)
 
 
 def test_attention_is_row_local():
@@ -83,11 +85,11 @@ def test_attention_is_row_local():
     proj = build_projections(CFG, 2)
     z = init_latent(CFG, 3).z
     tape = Tape()
-    base = cross_attention(tape, tape.constant(z), tokens, proj).values
+    base = cross_attention(tape, tape.constant(z), tokens, proj).value
     bumped = z.copy()
     bumped[17] += 0.5
     tape2 = Tape()
-    after = cross_attention(tape2, tape2.constant(bumped), tokens, proj).values
+    after = cross_attention(tape2, tape2.constant(bumped), tokens, proj).value
     changed = np.any(base != after, axis=1)
     assert changed[17] and changed.sum() == 1
 
@@ -99,16 +101,8 @@ def test_attention_shape_checks():
     with pytest.raises(ShapeError):
         cross_attention(tape, tape.constant(np.zeros((256, 5))), tokens, proj)
     with pytest.raises(ShapeError):
-        cross_attention(tape, tape.constant(np.zeros((64, CFG.d_z))), tokens, proj,
-                        resolution=16)
-
-
-def test_token_map_reshapes_column():
-    tokens = embed_tokens("cat dog", 1)
-    proj = build_projections(CFG, 2)
-    tape = Tape()
-    attn = cross_attention(tape, tape.constant(init_latent(CFG, 0).z), tokens, proj)
-    assert np.array_equal(attn.token_map(1).reshape(-1), attn.values[:, 1])
+        cross_attention(tape, tape.constant(np.zeros((256, CFG.d_z))),
+                        embed_tokens("cat dog", 1, d_e=8), proj)
 
 
 def test_value_width_must_match_latent_width():
@@ -124,7 +118,7 @@ def _setup(seed=0):
     proj = build_projections(CFG, seed + 1)
     state = init_latent(CFG, seed + 2)
     tape = Tape()
-    attn = cross_attention(tape, tape.constant(state.z), tokens, proj).values
+    attn = cross_attention(tape, tape.constant(state.z), tokens, proj).value
     return tokens, proj, state, attn
 
 
@@ -217,8 +211,8 @@ def test_trajectory_bit_reproducible():
     cfg = GuidanceConfig()
     a = guided_sample(LAYOUT, cfg, CFG, 4)
     b = guided_sample(LAYOUT, cfg, CFG, 4)
-    assert np.array_equal(a.final_state.z, b.final_state.z)
-    assert np.array_equal(a.final_attention.values, b.final_attention.values)
+    assert np.array_equal(a.final_z, b.final_z)
+    assert np.array_equal(a.final_attention, b.final_attention)
     for sa, sb in zip(a.steps, b.steps):
         assert np.array_equal(sa.attention, sb.attention)
         assert np.array_equal(sa.z_after, sb.z_after)

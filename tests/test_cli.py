@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loco import cli
+from loco import cli, diffmath
+from loco.backbone import BackboneConfig
 from loco.cli import _guidance_config, build_parser, main, write_pgm
 from loco.diffmath import ContractError
-from loco.guidance import GradCheckResult, GuidanceConfig
+from loco.evaluate import run_benchmark
+from loco.guidance import (GradCheckResult, GuidanceConfig, gradient_check,
+                           guided_sample)
+from loco.layout import parse_layout
 from loco.suite import bundled_suite_dir
 from strategies import mostly
 
@@ -357,11 +361,37 @@ def test_gradcheck_detach_only_mode(capsys):
     assert "detach=True" in out and "detach=False" not in out
 
 
-def test_gradcheck_corrupt_negative_control(capsys):
-    assert main(["gradcheck", "--seed", "5", "--instances", "1",
-                 "--corrupt-gradient"]) == 1
+def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
+    """An error above the tolerance fails and names its coordinate."""
+    def bad_check(seed, **kwargs):
+        grad = np.zeros((64, 8))
+        return GradCheckResult(1e-2, (3, 4), grad, grad)
+
+    monkeypatch.setattr(cli, "gradient_check", bad_check)
+    assert main(["gradcheck", "--seed", "5", "--instances", "1"]) == 1
     err = capsys.readouterr().err
-    assert "coordinate" in err
+    assert "coordinate (3, 4)" in err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["gradcheck", "--corrupt-gradient"])
+
+
+def test_no_production_path_records_a_tape(tmp_path, layout_file, monkeypatch):
+    """Sampling, the benchmark, the gradient check and the CLI never build
+    a tape: the tape is only the tests' oracle."""
+    def no_tape(self):
+        raise AssertionError("a production path built a Tape")
+
+    monkeypatch.setattr(diffmath.Tape, "__init__", no_tape)
+    with pytest.raises(AssertionError):
+        diffmath.Tape()
+    layout = parse_layout(layout_file.read_text())
+    run = guided_sample(layout, GuidanceConfig(), BackboneConfig(), 0)
+    assert run.final_attention.shape == (256, run.tokens.n)
+    run_benchmark([("pair_cat_dog", layout)], GuidanceConfig(guided_steps=1),
+                  BackboneConfig(), seeds=[0], gamma_sweep=[5.0])
+    assert gradient_check(3).max_rel_error <= 1e-4
+    assert main(["generate", "--layout", str(layout_file), "--seed", "0",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_gradcheck_fails_on_a_non_finite_error(capsys, monkeypatch):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from loco.backbone import AttentionMaps, BackboneConfig, Seeds
-from loco.diffmath import ContractError, Tape
+from loco.backbone import BackboneConfig, Seeds
+from loco.diffmath import ContractError, ShapeError
 from loco import evaluate, guidance
-from loco.evaluate import (ARMS, DEFAULT_TAU, _evaluate, _record,
-                           aggregate_records, arm_config, cross_mass_probe,
-                           decode_labels, detect_regions, iou, layout_metrics,
-                           run_benchmark)
+from loco.evaluate import (ARMS, _evaluate, _record, aggregate_records,
+                           arm_config, cross_mass_probe, decode_labels,
+                           detect_regions, iou, layout_metrics, run_benchmark)
 from loco.guidance import (GuidanceConfig, _loss_and_grad, _trajectories,
                            guided_sample)
 from loco.layout import BoundingBox, parse_layout, rasterize_box
@@ -25,14 +24,6 @@ LAYOUT = parse_layout("""{
   ],
   "relations": [{"a": 0, "b": 1, "kind": "left"}]
 }""")
-
-
-def make_attention(values, resolution=16):
-    values = np.asarray(values, dtype=float)
-    tape = Tape()
-    return AttentionMaps(a=tape.constant(values), n=values.shape[1],
-                         sot_index=0, eot_index=values.shape[1] - 1,
-                         resolution=resolution)
 
 
 def boxed_attention(layout, sharp=0.9):
@@ -65,7 +56,7 @@ def test_decode_single_dominant_object_matches_mask():
     inside = mask.reshape(-1).astype(bool)
     values[inside, 1] = 0.9
     values /= values.sum(axis=1, keepdims=True)
-    labels = decode_labels(make_attention(values), layout, tau=0.5)
+    labels = decode_labels(values, layout, tau=0.5)
     assert np.array_equal((labels == 1).astype(np.uint8), mask)
 
 
@@ -73,22 +64,22 @@ def test_decode_tau_bounds():
     layout = single_object_layout()
     values = np.full((256, 4), 0.25)
     with pytest.raises(ContractError):
-        decode_labels(make_attention(values), layout, tau=0.0)
+        decode_labels(values, layout, tau=0.0)
     with pytest.raises(ContractError):
-        decode_labels(make_attention(values), layout, tau=1.0)
+        decode_labels(values, layout, tau=1.0)
 
 
 def test_decode_tau_near_one_keeps_only_peaks():
     rng = np.random.default_rng(0)
     values = rng.dirichlet(np.ones(5), size=256)
-    labels = decode_labels(make_attention(values), LAYOUT, tau=1.0 - 1e-9)
+    labels = decode_labels(values, LAYOUT, tau=1.0 - 1e-9)
     assert np.count_nonzero(labels) <= LAYOUT.k
 
 
 def test_decode_tau_near_zero_has_no_background():
     rng = np.random.default_rng(1)
     values = rng.dirichlet(np.ones(5), size=256)
-    labels = decode_labels(make_attention(values), LAYOUT, tau=1e-12)
+    labels = decode_labels(values, LAYOUT, tau=1e-12)
     assert np.count_nonzero(labels) == 256
 
 
@@ -96,7 +87,7 @@ def test_decode_matches_per_cell_argmax_oracle():
     rng = np.random.default_rng(2)
     values = rng.dirichlet(np.ones(5), size=256)
     tau = 0.3
-    labels = decode_labels(make_attention(values), LAYOUT, tau=tau)
+    labels = decode_labels(values, LAYOUT, tau=tau)
 
     spans = [list(p.span) for p in LAYOUT.phrases]
     maps = np.stack([values[:, s].mean(axis=1) for s in spans])
@@ -105,6 +96,20 @@ def test_decode_matches_per_cell_argmax_oracle():
         scores = maps[:, cell]
         want = int(np.argmax(scores)) + 1 if scores.max() >= tau else 0
         assert labels.reshape(-1)[cell] == want
+
+
+@pytest.mark.parametrize("rows", [255, 257, 15])
+def test_non_square_attention_raises_shape_error(rows):
+    values = np.full((rows, 5), 0.2)
+    with pytest.raises(ShapeError, match="square"):
+        decode_labels(values, LAYOUT)
+    with pytest.raises(ShapeError, match="square"):
+        layout_metrics([], LAYOUT, values)
+
+
+def test_decode_reads_the_grid_side_from_the_rows():
+    values = boxed_attention(LAYOUT)[:64]  # the first 4 rows of the 16x16 grid
+    assert decode_labels(values, LAYOUT).shape == (8, 8)
 
 
 def test_detect_single_block():
@@ -176,7 +181,7 @@ def test_iou_bounds_and_identity():
 
 
 def test_layout_metrics_perfect_and_missing():
-    attn = make_attention(boxed_attention(LAYOUT))
+    attn = boxed_attention(LAYOUT)
     labels = decode_labels(attn, LAYOUT)
     dets = detect_regions(labels)
     metrics = layout_metrics(dets, LAYOUT, attn)
@@ -201,7 +206,7 @@ def test_relation_antisymmetry():
       ],
       "relations": [{"a": 0, "b": 1, "kind": "left"}, {"a": 1, "b": 0, "kind": "right"}]
     }""")
-    attn = make_attention(boxed_attention(layout))
+    attn = boxed_attention(layout)
     dets = detect_regions(decode_labels(attn, layout))
     metrics = layout_metrics(dets, layout, attn)
     # left(a, b) and right(b, a) agree on the same detections
@@ -209,7 +214,7 @@ def test_relation_antisymmetry():
 
 
 def test_cross_box_mass_rows():
-    attn = make_attention(boxed_attention(LAYOUT))
+    attn = boxed_attention(LAYOUT)
     metrics = layout_metrics(detect_regions(decode_labels(attn, LAYOUT)),
                              LAYOUT, attn)
     cross = np.array(metrics.cross_box_mass)
@@ -318,8 +323,7 @@ def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
         for name, layout in suite:
             for seed in seeds:
                 run = guided_sample(layout, gcfg, backbone, seed)
-                metrics, _ = _evaluate(layout, run.final_attention,
-                                       DEFAULT_TAU)
+                metrics, _ = _evaluate(layout, run.final_attention)
                 records.append(_record(name, seed, label, gcfg,
                                        run.loss_curve(), metrics))
         return records

@@ -6,15 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loco.backbone import (AttentionMaps, BackboneConfig, Seeds,
+from loco.backbone import (BackboneConfig, Seeds,
                            build_projections, cross_attention, denoise_step,
                            effective_noise, embed_tokens, expected_latent_rms,
                            init_latent, value_matrix)
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (FD_STEP, GuidanceConfig, _check_instance,
-                           _loss_and_grad, _setup, _trajectories,
+from loco.guidance import (FD_STEP, GuidanceConfig, _breakdowns,
+                           _check_instance, _loss_and_grad, _setup,
+                           _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, loss_norms, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
@@ -35,12 +36,9 @@ LAYOUT = parse_layout("""{
 MASKS = [rasterize_box(b) for b in LAYOUT.boxes]
 
 
-def make_attention(values, resolution=16):
-    """Synthetic attention maps on a fresh tape."""
-    values = np.asarray(values, dtype=float)
-    tape = Tape()
-    return AttentionMaps(a=tape.leaf(values), n=values.shape[1], sot_index=0,
-                         eot_index=values.shape[1] - 1, resolution=resolution)
+def make_attention(values):
+    """Synthetic (q, n) attention maps as a leaf of a fresh tape."""
+    return Tape().leaf(np.asarray(values, dtype=float))
 
 
 def uniform_attention(n, q=256):
@@ -204,7 +202,7 @@ def test_frozen_norms_match_detached_gradient():
     loss, _ = loco_loss(attn, LAYOUT, MASKS, cfg)
     detached_grad = tape.backward(loss)[z]
 
-    frozen = loss_norms(attn.values, LAYOUT, tokens.sot_index, tokens.eot_index)
+    frozen = loss_norms(attn.value, LAYOUT)
     tape2 = Tape()
     z2 = tape2.leaf(z0)
     attn2 = cross_attention(tape2, z2, tokens, proj)
@@ -356,7 +354,7 @@ def _oracle_run(layout, cfg, seed):
         attn = cross_attention(tape, tape.constant(state.z), tokens, proj)
         sigma = effective_noise(BCFG, state.t, state.z,
                                 expected_latent_rms(BCFG, index, vrms))
-        state = denoise_step(state, attn.values, tokens, proj, BCFG.rho, sigma)
+        state = denoise_step(state, attn.value, tokens, proj, BCFG.rho, sigma)
         latents.append(state.z)
     return latents, curve
 
@@ -371,7 +369,7 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
     want, curve = _oracle_run(LAYOUT, cfg, 6)
     assert curve == []
     run = guided_sample(LAYOUT, cfg, BCFG, 6)
-    assert np.array_equal(run.final_state.z, want[-1])
+    assert np.array_equal(run.final_z, want[-1])
     # The same config as one item of a stack whose other items are guided.
     stack = [GuidanceConfig(), cfg, arm_config(GuidanceConfig(), "lac_wo_norm")]
     track = _stacked_run(LAYOUT, stack, 6)[1]
@@ -414,12 +412,11 @@ def _assert_same_run(track, run):
     assert track.curve == run.loss_curve()
     assert len(track.steps) == len(run.steps)
     for got, want in zip(track.steps, run.steps):
-        assert (got.index, got.t_after, got.guided, got.losses) == \
-            (want.index, want.t_after, want.guided, want.losses)
+        assert got.losses == want.losses
         assert np.array_equal(got.z_after, want.z_after)
         assert np.array_equal(got.attention, want.attention)
-    assert np.array_equal(track.z, run.final_state.z)
-    assert np.array_equal(track.attention.values, run.final_attention.values)
+    assert np.array_equal(track.z, run.final_z)
+    assert np.array_equal(track.attention, run.final_attention)
 
 
 def test_stacked_run_equals_each_items_solo_run():
@@ -436,25 +433,21 @@ def test_stacked_run_equals_each_items_solo_run():
                 _assert_same_run(track, solo[cfg])
 
 
-@pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None,
+                                  Seeds.from_master(0)])
 def test_bad_seed_raises_contract_error(seed):
     with pytest.raises(ContractError, match="seed must be"):
         guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG, seed)
 
 
-def test_seeds_instance_is_a_seed():
-    run = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG,
-                        Seeds.from_master(4))
-    again = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG, 4)
-    assert run.seeds == again.seeds
-    assert np.array_equal(run.final_state.z, again.final_state.z)
-
-
 def test_default_run_performs_fifty_updates():
     run = guided_sample(LAYOUT, GuidanceConfig(), BCFG, 0)
     assert len(run.loss_curve()) == 50
-    assert sum(step.guided for step in run.steps) == 10
-    assert run.final_state.t == 0
+    assert len(run.steps) == BCFG.total_steps
+    assert [bool(step.losses) for step in run.steps] == \
+        [True] * 10 + [False] * (BCFG.total_steps - 10)
+    assert run.final_z.shape == (BCFG.q, BCFG.d_z)
+    assert run.final_attention.shape == (BCFG.q, run.tokens.n)
 
 
 def test_guided_steps_cannot_exceed_trajectory():
@@ -508,8 +501,17 @@ def test_gradient_check_minimal_four_token_chain():
     assert result.max_rel_error <= 1e-4
 
 
-def test_gradient_check_negative_control():
-    result = gradient_check(7, resolution=8, corrupt=True)
+def test_gradient_check_negative_control(monkeypatch):
+    """A damaged analytic gradient fails the check, so the check can fail."""
+    def damaged(*args, with_grad=True, **kwargs):
+        grads, terms, values = _loss_and_grad(*args, with_grad=with_grad,
+                                              **kwargs)
+        if with_grad:
+            grads[0, 0, 0] += 1e-2
+        return grads, terms, values
+
+    monkeypatch.setattr(guidance, "_loss_and_grad", damaged)
+    result = gradient_check(7, resolution=8)
     assert result.max_rel_error > 1e-4
 
 
@@ -529,12 +531,12 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
                                             detach)
     grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
     target = target_maps(values[0], layout, plan.masks)
-    frozen = (loss_norms(values[0], layout, plan.tokens.sot_index,
-                         plan.tokens.eot_index) if detach else None)
+    frozen = loss_norms(values[0], layout) if detach else None
 
     def f(z):
-        return _loss_and_grad(plan, z[None], [cfg], target, frozen,
-                              with_grad=False)[1][0].total
+        _, (_, _, total, _), _ = _loss_and_grad(plan, z[None], [cfg], target,
+                                                frozen, with_grad=False)
+        return total[0]
 
     result = gradient_check(5, resolution=resolution, content_words=words,
                             n_objects=objects, detach_norms=detach)
@@ -585,28 +587,27 @@ def test_non_finite_latent_raises_naming_the_timestep():
 # ---------------------------------------------------------------------------
 # The closed-form gradient of the guided loop against the tape, bit for bit.
 
-def _tape_loss_and_grad(plan, z, layout, cfg, resolution=16, **overrides):
+def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
     tape = Tape()
     leaf = tape.leaf(z)
-    attn = cross_attention(tape, leaf, plan.tokens, plan.proj,
-                           resolution=resolution)
+    attn = cross_attention(tape, leaf, plan.tokens, plan.proj)
     loss, breakdown = loco_loss(attn, layout, plan.masks, cfg, **overrides)
-    return tape.backward(loss)[leaf], breakdown, attn.values
+    return tape.backward(loss)[leaf], breakdown, attn.value
 
 
-def _assert_tied(plan, z, layout, cfgs, resolution=16, **overrides):
+def _assert_tied(plan, z, layout, cfgs, **overrides):
     """Each item's gradient, breakdown and attention in a stacked call equal
     the tape's on that item's latent exactly."""
-    grads, breakdowns, values = _loss_and_grad(plan, z, cfgs, **overrides)
+    grads, terms, values = _loss_and_grad(plan, z, cfgs, **overrides)
+    breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
-        want = _tape_loss_and_grad(plan, item, layout, cfg, resolution,
-                                   **overrides)
+        want = _tape_loss_and_grad(plan, item, layout, cfg, **overrides)
         assert np.array_equal(grad, want[0])
         assert breakdown == want[1]
         assert np.array_equal(value, want[2])
-    assert _loss_and_grad(plan, z, cfgs, with_grad=False,
-                          **overrides)[1] == breakdowns
+    forward = _loss_and_grad(plan, z, cfgs, with_grad=False, **overrides)[1]
+    assert _breakdowns(forward) == breakdowns
     return grads
 
 
@@ -672,8 +673,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     values = _loss_and_grad(plan, z0[None], [GuidanceConfig()])[2][0]
     target = target_maps(values, layout, plan.masks)
-    frozen = loss_norms(values, layout, plan.tokens.sot_index,
-                        plan.tokens.eot_index)
+    frozen = loss_norms(values, layout)
     z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
     for overrides in ({}, {"target": target}, {"frozen_norms": frozen},
                       {"target": target, "frozen_norms": frozen}):
@@ -681,7 +681,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
             # cfg at the base point and at a point away from it, and cfg's
             # gamma/alpha variants away from it, as one stack.
             _assert_tied(plan, np.stack([z0, z1, z1, z1]), layout,
-                         [cfg, *_stack(cfg)], resolution=8, **overrides)
+                         [cfg, *_stack(cfg)], **overrides)
         # Items that differ in lac_normalize, at both points, as one stack.
         _assert_tied(plan, np.stack([z0] * 3 + [z1] * 3), layout,
-                     MIXED_NORMALIZE * 2, resolution=8, **overrides)
+                     MIXED_NORMALIZE * 2, **overrides)
