@@ -255,7 +255,7 @@ def expected_latent_rms(cfg: BackboneConfig, steps_done: int,
 
 
 def effective_noise(cfg: BackboneConfig, t: int, z: np.ndarray,
-                    expected_rms: float) -> float:
+                    expected_rms: float) -> np.ndarray:
     """Scheduled noise plus reconstruction noise for out-of-range latents.
 
     The frozen denoiser is calibrated for latents at each timestep's
@@ -263,9 +263,13 @@ def effective_noise(cfg: BackboneConfig, t: int, z: np.ndarray,
     schedule; latents driven far outside it (e.g. by an over-strong
     guidance scale) pick up noise proportional to the excess, the toy's
     stand-in for fidelity loss on out-of-distribution inputs.
+
+    One sigma per latent of a stack z, (..., q, d_z); each item's RMS is
+    bit-identical to the RMS of its latent alone. A latent with a NaN RMS
+    gets a NaN sigma.
     """
-    rms = float(np.sqrt(np.mean(z * z)))
-    excess = max(0.0, rms / max(expected_rms, 1e-12) - cfg.ood_slack)
+    rms = np.sqrt(np.mean(z * z, axis=(-2, -1)))
+    excess = np.maximum(0.0, rms / max(expected_rms, 1e-12) - cfg.ood_slack)
     return noise_scale(cfg, t) * (1.0 + cfg.ood_noise_gain * excess)
 
 

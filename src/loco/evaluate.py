@@ -18,11 +18,11 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, Seeds
 from .diffmath import ContractError, ShapeError
 from .guidance import (GuidanceConfig, LossBreakdown, _flat_masks,
-                       _guided_step, _is_nonnegative_int, _setup,
-                       _trajectories, object_maps)
+                       _guided_step, _is_nonnegative_int, _noise_draws,
+                       _setup, _trajectories, object_maps)
 # Not called here; it stays a module attribute because perfbench's layer trace
 # and speed probe rebind it here.
 from .guidance import guided_sample  # noqa: F401
@@ -228,7 +228,8 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     if cfg.guided_steps < 1:
         raise ContractError("cross-box mass needs a guided step")
     _, plan, state = _setup(layout, backbone, seed)
-    _, _, (seen,) = _guided_step(state.z[None], 0, plan, [cfg])
+    *_, (seen,) = _guided_step(state.z[None], 0, plan, [cfg],
+                               keep_attention=True)
     values = []
     for attn_values in seen:
         maps = object_maps(attn_values, layout)
@@ -352,16 +353,20 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
                for gamma in gammas]
     configs = list(dict.fromkeys(gcfg for _, gcfg in groups))
     items = [configs.index(gcfg) for _, gcfg in groups]
-    per_group: list[list[dict]] = [[] for _ in groups]
-    for name, layout in suite:
-        for seed in seeds:
+    # (layout index, seed index) -> that run's record in each group. Seeds
+    # run outermost, because the noise draws depend on the seed alone.
+    cells: dict[tuple[int, int], list[dict]] = {}
+    for j, seed in enumerate(seeds):
+        draws = list(_noise_draws(backbone, Seeds.from_master(seed).latent))
+        for i, (name, layout) in enumerate(suite):
             _, plan, start = _setup(layout, backbone, seed)
-            tracks = _trajectories(plan, start, configs, backbone)
+            tracks = _trajectories(plan, start.z, draws, configs, backbone)
             scores = [_evaluate(layout, track.attention)[0]
                       for track in tracks]
-            for (label, gcfg), i, group in zip(groups, items, per_group):
-                group.append(_record(name, seed, label, gcfg, tracks[i].curve,
-                                     scores[i]))
+            cells[i, j] = [_record(name, seed, label, gcfg, tracks[k].curve,
+                                   scores[k])
+                           for (label, gcfg), k in zip(groups, items)]
+    per_group = zip(*(cells[key] for key in sorted(cells)))
 
     records, sweep = [], []
     for (label, gcfg), group in zip(groups, per_group):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -392,15 +392,70 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
 # (B, q, d_z). A stacked np.matmul is, item by item, the 2-D product, and
 # each reduction runs along the same contiguous axis as on one latent, so
 # every item is bit-identical to the same computation on its latent alone.
+#
+# The token axis is short (n = 4 to 9 on the suite), and numpy reduces short
+# contiguous rows one row at a time, several times slower than a few
+# elementwise ops over the n columns. So the softmax's reductions along it
+# run as column chains that give the same bits.
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` as a chain of ``np.maximum`` over
+    the columns: exact, NaN included. Only a row of zeros of both signs may
+    end on the other zero, as numpy's vectorised max itself may; the softmax
+    subtracts the max and exponentiates, where that sign cannot show."""
+    m = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j:j + 1], out=m)
+    return m
+
+
+def _block_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Columns lo .. lo + n - 1 of x (n >= 8) summed in numpy's pairwise
+    order: eight accumulators over blocks of 8, combined pairwise, then the
+    tail; above 128 columns, the halves split at a multiple of 8."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        s = _block_sum(x, lo, half)
+        s += _block_sum(x, lo + half, n - half)
+        return s
+    end = n - n % 8
+    r = [x[..., lo + j:lo + j + 1] for j in range(8)]
+    for i in range(8, end, 8):
+        r = [r[j] + x[..., lo + i + j:lo + i + j + 1] for j in range(8)]
+    s, t, u, v = r[0] + r[1], r[2] + r[3], r[4] + r[5], r[6] + r[7]
+    s += t
+    u += v
+    s += u
+    for j in range(end, n):
+        s += x[..., lo + j:lo + j + 1]
+    return s
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit, signed zeros included,
+    as column adds: numpy adds fewer than 8 columns left to right and longer
+    rows pairwise (``_block_sum``), and adds the result to its identity 0.0
+    last."""
+    n = x.shape[-1]
+    if n >= 8:
+        s = _block_sum(x, 0, n)
+        s += 0.0
+        return s
+    s = 0.0 + x[..., :1]
+    for j in range(1, n):
+        s += x[..., j:j + 1]
+    return s
+
 
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """Cross-attention values at stacked latents, (B, q, n): the row softmax
     of (z W_q) K^T / sqrt(d), in ``cross_attention``'s operation order."""
     w_q = plan.proj.w_q
     logits = ((z @ w_q) @ plan.keys.T) / sqrt(w_q.shape[1])
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=-1, keepdims=True)
+    logits -= _row_max(logits)
+    e = np.exp(logits, out=logits)
+    e /= _row_sum(e)
+    return e
 
 
 def _max_entry(x: np.ndarray):
@@ -556,46 +611,48 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
         g_a = g_a + g_cols[:, i] @ plan.sel[:, i:i + 1].T
 
     # Backward through the softmax and both projections.
-    inner = (g_a * a).sum(axis=-1, keepdims=True)
+    inner = _row_sum(g_a * a)
     g_logits = a * (g_a - inner) / scale
     return (g_logits @ kt.T) @ w_q.T, terms, a
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
-                 cfgs: Sequence[GuidanceConfig]
-                 ) -> tuple[np.ndarray, list[list[LossBreakdown]],
+                 cfgs: Sequence[GuidanceConfig], keep_attention: bool = False
+                 ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]],
                             list[list[np.ndarray]]]:
-    """Guided timestep ``index`` of a stack: the updated latents, each item's
-    loss breakdowns, and the attention values each item differentiated.
+    """Guided timestep ``index`` of a stack z, which it leaves unchanged.
 
     Items with ``index >= guided_steps`` keep their latent. The others, the
     live items, must share ``beta``, ``detach_norms`` and
     ``iterations_per_step``; they take their updates together, one stacked
-    loss call per iteration.
+    loss call per iteration, in place on a copy of their latents. Returns
+    the live items' indices and updated latents, each item's loss
+    breakdowns, and, with ``keep_attention``, the attention values each
+    item differentiated (else empty lists).
     """
     live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
     seen: list[list[np.ndarray]] = [[] for _ in cfgs]
+    zr = z[live]  # a copy, since live is a list
     if not live:
-        return z, losses, seen
+        return live, zr, losses, seen
     part = [cfgs[i] for i in live]
     if len({(c.beta, c.detach_norms, c.iterations_per_step)
             for c in part}) != 1:
         raise ContractError("the guided items of a stack must share beta, "
                             "detach_norms and iterations_per_step")
-    zr = z[live]
     # update_latent's step, gamma * lambda, per item.
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
     for _ in range(part[0].iterations_per_step):
         grad, terms, values = _loss_and_grad(plan, zr, part)
-        zr = zr - step * grad
+        grad *= step
+        zr -= grad
         for i, breakdown, value in zip(live, _breakdowns(terms), values):
             losses[i].append(breakdown)
-            seen[i].append(value)
-    out = z.copy()
-    out[live] = zr
-    return out, losses, seen
+            if keep_attention:
+                seen[i].append(value)
+    return live, zr, losses, seen
 
 
 @dataclass(frozen=True)
@@ -608,18 +665,35 @@ class _Track:
     attention: np.ndarray  # (q, n), at the final latent
 
 
-def _trajectories(plan: _Plan, start: LatentState,
+def _noise_draws(backbone: BackboneConfig, rng_seed: int
+                 ) -> Iterator[np.ndarray | None]:
+    """Each timestep's noise draw, first timestep first, as ``denoise_step``
+    draws it from the run seed and t alone: a standard normal (q, d_z)
+    array, or None where the schedule has no noise. Lazy, so a lone run
+    holds one draw at a time; ``run_benchmark`` lists a seed's draws once
+    and shares them among its layouts."""
+    for t in range(backbone.total_steps, 0, -1):
+        if noise_scale(backbone, t) > 0:
+            rng = np.random.default_rng([rng_seed, 1, t])
+            yield rng.standard_normal((backbone.q, backbone.d_z))
+        else:
+            yield None
+
+
+def _trajectories(plan: _Plan, z0: np.ndarray,
+                  draws: Iterable[np.ndarray | None],
                   cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig,
                   keep_steps: bool = False) -> list[_Track]:
     """Run one trajectory per config as one stack of latents.
 
-    The items share the plan, the start latent and each timestep's noise
-    draw, which the run seed and the timestep alone determine; ``gamma``,
-    ``alpha``, ``lac_normalize`` and ``guided_steps`` may differ, while the
-    guided items share ``beta``, ``detach_norms`` and
-    ``iterations_per_step``. Each item is bit-identical to its own run.
-    ``keep_steps`` keeps each timestep's ``StepRecord``; without it only the
-    loss curve and the final latent and attention are kept.
+    The items share the plan, the start latent ``z0``, (q, d_z), and each
+    timestep's noise draw, taken in order from ``draws`` (``_noise_draws``
+    of the run seed); ``gamma``, ``alpha``, ``lac_normalize`` and
+    ``guided_steps`` may differ, while the guided items share ``beta``,
+    ``detach_norms`` and ``iterations_per_step``. Each item is
+    bit-identical to its own run. ``keep_steps`` keeps each timestep's
+    ``StepRecord``; without it only the loss curve and the final latent and
+    attention are kept.
     """
     for cfg in cfgs:
         if cfg.guided_steps > backbone.total_steps:
@@ -629,35 +703,37 @@ def _trajectories(plan: _Plan, start: LatentState,
     rho = backbone.rho
     e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
-    z = np.repeat(start.z[None], len(cfgs), axis=0)
+    # The stack and its work buffer: the denoise and the noise write into
+    # them in place, the same operations as fresh arrays without allocating.
+    z = np.repeat(z0[None], len(cfgs), axis=0)
+    work = np.empty_like(z)
     curves: list[list[LossBreakdown]] = [[] for _ in cfgs]
     steps: list[list[StepRecord]] = [[] for _ in cfgs]
 
     # A latent that overflows raises the error below instead of warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for index in range(backbone.total_steps):
+        for index, draw in zip(range(backbone.total_steps), draws,
+                               strict=True):
             t = backbone.total_steps - index
-            z, losses, _ = _guided_step(z, index, plan, cfgs)
+            live, z_live, losses, _ = _guided_step(z, index, plan, cfgs)
+            if live:
+                z[live] = z_live
+            del z_live  # not held while the next step builds its own
             attn = _attention(plan, z)
-            # denoise_step on every item, with one shared noise draw.
-            expected = expected_latent_rms(backbone, index, value_rms)
-            sigma = np.array([effective_noise(backbone, t, item, expected)
-                              for item in z])
-            z = (1.0 - rho) * z + rho * (attn @ e_v)
-            # Each item's sigma is noise_scale times a factor >= 1, so all
-            # items are noisy or none. A factor that is not finite comes from
-            # a latent whose mean square overflows; its noise makes it
-            # non-finite, and the check below rejects it.
-            if noise_scale(backbone, t) > 0:
-                rng = np.random.default_rng([start.rng_seed, 1, t])
-                noise = sigma[:, None, None] * rng.standard_normal(
-                    start.z.shape)
-                # Not one expression: ``z + sigma * draw`` tripled the minor
-                # page faults of a one-seed suite run and slowed it by 5-12%.
-                z = z + noise
-                del noise  # not held into the next timestep's peak
-            # Checked here, once per timestep: effective_noise cannot catch
-            # it, since max(0.0, nan) is 0.0.
+            # denoise_step on every item: (1 - rho) z + rho (A E_v), then
+            # sigma times the shared draw.
+            sigma = effective_noise(
+                backbone, t, z, expected_latent_rms(backbone, index, value_rms))
+            np.matmul(attn, e_v, out=work)
+            work *= rho
+            z *= 1.0 - rho
+            z += work
+            if draw is not None:
+                np.multiply(sigma[:, None, None], draw, out=work)
+                z += work
+            # Checked here, once per timestep: a latent whose mean square is
+            # not finite gets a sigma that is not finite, and its noise
+            # carries that into z.
             finite = np.isfinite(z).all(axis=(1, 2))
             if not finite.all():
                 bad = cfgs[int(np.argmin(finite))]
@@ -667,8 +743,9 @@ def _trajectories(plan: _Plan, start: LatentState,
             for i in range(len(cfgs)):
                 curves[i] += losses[i]
                 if keep_steps:
-                    steps[i].append(StepRecord(losses=tuple(losses[i]),
-                                               attention=attn[i], z_after=z[i]))
+                    steps[i].append(StepRecord(
+                        losses=tuple(losses[i]), attention=attn[i],
+                        z_after=z[i].copy()))  # z changes in place
 
     attn = _attention(plan, z)
     return [_Track(curve=curves[i], steps=steps[i], z=z[i], attention=attn[i])
@@ -689,7 +766,9 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     one map per token, SoT first and EoT last.
     """
     seeds, plan, start = _setup(layout, backbone, seeds)
-    track, = _trajectories(plan, start, [cfg], backbone, keep_steps=True)
+    track, = _trajectories(plan, start.z,
+                           _noise_draws(backbone, start.rng_seed), [cfg],
+                           backbone, keep_steps=True)
     return GuidedRun(layout=layout, config=cfg, backbone=backbone, seeds=seeds,
                      tokens=plan.tokens, steps=tuple(track.steps),
                      final_z=track.z, final_attention=track.attention)

@@ -193,6 +193,22 @@ def test_effective_noise_triggers_only_out_of_range():
     assert effective_noise(CFG, 40, z_hot, expected_rms=0.1) > base
 
 
+def test_effective_noise_gives_each_item_of_a_stack_its_own_sigma():
+    rng = np.random.default_rng(0)
+    scales = np.array([0.01, 0.1, 1.0, 10.0, 100.0])[:, None, None]
+    z = rng.standard_normal((5, CFG.q, CFG.d_z)) * scales
+    sigma = effective_noise(CFG, 30, z, expected_rms=0.5)
+    # The per-latent formula, one Python float at a time.
+    want = [noise_scale(CFG, 30) * (1.0 + CFG.ood_noise_gain * max(
+                0.0, float(np.sqrt(np.mean(item * item))) / 0.5 - CFG.ood_slack))
+            for item in z]
+    assert sigma.shape == (5,) and sigma.tolist() == want
+    assert sigma[0] == noise_scale(CFG, 30) < sigma[-1]
+    z[1, 0, 0] = np.nan
+    assert np.isnan(effective_noise(CFG, 30, z, expected_rms=0.5)).tolist() \
+        == [False, True, False, False, False]
+
+
 def test_expected_latent_rms_path():
     assert expected_latent_rms(CFG, 0, 0.6) == pytest.approx(CFG.init_scale)
     assert expected_latent_rms(CFG, 10 ** 6, 0.6) == pytest.approx(0.6)

@@ -304,9 +304,9 @@ def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
     the one a solo ``guided_sample`` run of its config gives."""
     stacks = []
 
-    def recording(plan, start, cfgs, backbone, keep_steps=False):
+    def recording(plan, z0, draws, cfgs, backbone, keep_steps=False):
         stacks.append(list(cfgs))
-        return _trajectories(plan, start, cfgs, backbone, keep_steps)
+        return _trajectories(plan, z0, draws, cfgs, backbone, keep_steps)
 
     monkeypatch.setattr(evaluate, "_trajectories", recording)
     suite, seeds, sweep = _mini_suite(), [0, 1], [5.0, 30.0]
@@ -385,3 +385,43 @@ def test_benchmark_rejects_bad_gamma_sweep(sweep):
     with pytest.raises(ContractError, match="gamma_sweep"):
         run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
                       seeds=[0], gamma_sweep=sweep)
+
+
+def test_benchmark_draws_the_noise_once_per_seed_and_timestep(monkeypatch):
+    real, noise_seeds = np.random.default_rng, []
+
+    def counting(seed=None):
+        if isinstance(seed, list) and len(seed) == 3:  # [run seed, 1, t]
+            noise_seeds.append(tuple(seed))
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    backbone = BackboneConfig()
+    suite = load_suite(bundled_suite_dir())
+    run_benchmark(suite, GuidanceConfig(guided_steps=1), backbone, seeds=[3])
+    # 51, where one draw per layout and timestep would make 24 x 51 = 1224.
+    latent = Seeds.from_master(3).latent
+    assert noise_seeds == [(latent, 1, t)
+                           for t in range(backbone.total_steps, 0, -1)]
+
+
+def test_benchmark_records_stay_layout_major_across_seeds():
+    report = run_benchmark(_mini_suite(), GuidanceConfig(guided_steps=1),
+                           BackboneConfig(), seeds=[2, 0])
+    assert [(r["arm"], r["layout"], r["seed"]) for r in report.records] == [
+        (arm, name, seed) for arm in ARMS
+        for name in ("pair_cat_dog", "fusion_cup_hat") for seed in (2, 0)]
+
+
+def test_cross_mass_probe_leaves_the_start_latent_unchanged(monkeypatch):
+    starts = []
+
+    def recording(*args):
+        seeds, plan, state = guidance._setup(*args)
+        starts.append((state, state.z.copy()))
+        return seeds, plan, state
+
+    monkeypatch.setattr(evaluate, "_setup", recording)
+    cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
+    (state, before), = starts
+    assert state.z.tobytes() == before.tobytes()

@@ -1,6 +1,7 @@
 """Loss chain: closed forms, endpoints, gradients, the sampling loop."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
 from loco.guidance import (FD_STEP, GuidanceConfig, _breakdowns,
-                           _check_instance, _loss_and_grad, _setup,
-                           _trajectories,
+                           _check_instance, _loss_and_grad, _noise_draws,
+                           _setup, _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, loss_norms, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
@@ -361,7 +362,8 @@ def _oracle_run(layout, cfg, seed):
 
 def _stacked_run(layout, cfgs, seed):
     _, plan, start = _setup(layout, BCFG, seed)
-    return _trajectories(plan, start, cfgs, BCFG, keep_steps=True)
+    return _trajectories(plan, start.z, _noise_draws(BCFG, start.rng_seed),
+                         cfgs, BCFG, keep_steps=True)
 
 
 def test_guided_steps_zero_matches_plain_backbone_loop():
@@ -376,6 +378,102 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
     assert track.curve == [] and len(track.steps) == len(want)
     for step, z in zip(track.steps, want):
         assert np.array_equal(step.z_after, z)
+
+
+def test_guided_step_leaves_its_input_stack_unchanged():
+    _, plan, start = _setup(LAYOUT, BCFG, 1)
+    guided, unguided = GuidanceConfig(), GuidanceConfig(guided_steps=0)
+    for cfgs, want in (([guided, unguided, guided], [0, 2]),
+                       ([guided, guided], [0, 1])):
+        z = np.repeat(start.z[None], len(cfgs), axis=0)
+        before = z.tobytes()
+        live, z_live, losses, _ = guidance._guided_step(z, 0, plan, cfgs)
+        assert z.tobytes() == before
+        assert live == want and not np.shares_memory(z_live, z)
+        assert [len(x) for x in losses] == [5 if i in want else 0
+                                            for i in range(len(cfgs))]
+
+
+def test_kept_snapshots_hold_their_own_latents():
+    """The stack is updated in place; each step's snapshot still equals the
+    oracle loop's latent after the run ends, and shares no memory."""
+    cfg = GuidanceConfig(guided_steps=2)
+    run = guided_sample(LAYOUT, cfg, BCFG, 4)
+    latents, curve = _oracle_run(LAYOUT, cfg, 4)
+    assert run.loss_curve() == curve
+    for step, z in zip(run.steps, latents, strict=True):
+        assert step.z_after.tobytes() == z.tobytes()
+    arrays = [step.z_after for step in run.steps] + [run.final_z]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_lone_run_draws_its_noise_lazily(monkeypatch):
+    """``guided_sample`` makes each timestep's draw as it reaches it, and
+    drops it after: never more than two draws are alive at once."""
+    real = np.random.default_rng
+    alive, most = [], [0]
+
+    class Tracked:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            draw = self.rng.standard_normal(shape)
+            alive.append(weakref.ref(draw))
+            most[0] = max(most[0], sum(r() is not None for r in alive))
+            return draw
+
+    def default_rng(seed=None):
+        rng = real(seed)
+        return Tracked(rng) if isinstance(seed, list) and len(seed) == 3 \
+            else rng
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    guided_sample(LAYOUT, GuidanceConfig(guided_steps=1), BCFG, 0)
+    assert len(alive) == BCFG.total_steps
+    assert most[0] <= 2
+
+
+def test_row_reductions_tie_numpy_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for n in [*range(1, 41), *range(127, 301)]:
+        x = rng.standard_normal((2, 6, n)) * 10.0 ** rng.integers(
+            -300, 300, (2, 6, n))
+        x[0, 0] = -0.0
+        x[0, 1, ::3] = np.inf
+        x[0, 2, 1::4] = -np.inf
+        x[0, 3, n // 2] = np.nan
+        x[0, 4] = np.inf
+        x[0, 5] = np.nan
+        x[1, 0, ::2], x[1, 0, 1::2] = np.inf, -np.inf
+        x[1, 1] = rng.choice([-1.0, 1.0], n) * rng.uniform(1e307, 1.7e308, n)
+        x[1, 2] = rng.choice([-1.0, 1.0], n) * 2.0 ** -1074
+        # Zeros of both signs: numpy's vectorised max may return either,
+        # so this row is checked for the sum only.
+        zeros = rng.choice([0.0, -0.0], (1, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ours, theirs in ((guidance._row_max, np.max),
+                                 (guidance._row_sum, np.sum)):
+                got, want = ours(x), theirs(x, axis=-1, keepdims=True)
+                assert got.shape == want.shape, (ours.__name__, n)
+                assert got.tobytes() == want.tobytes(), (ours.__name__, n)
+            assert guidance._row_sum(zeros).tobytes() == \
+                zeros.sum(axis=-1, keepdims=True).tobytes()
+
+
+def test_noiseless_schedule_draws_nothing():
+    backbone = BackboneConfig(sigma0=0.0)
+    assert list(_noise_draws(backbone, 5)) == [None] * backbone.total_steps
+    run = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), backbone, 5)
+    _, plan, state = _setup(LAYOUT, backbone, 5)
+    for _ in range(backbone.total_steps):
+        tape = Tape()
+        attn = cross_attention(tape, tape.constant(state.z), plan.tokens,
+                               plan.proj)
+        state = denoise_step(state, attn.value, plan.tokens, plan.proj,
+                             backbone.rho, 0.0)
+    assert run.final_z.tobytes() == state.z.tobytes()
 
 
 def _arms(**flags):
@@ -586,6 +684,7 @@ def test_non_finite_latent_raises_naming_the_timestep():
 
 # ---------------------------------------------------------------------------
 # The closed-form gradient of the guided loop against the tape, bit for bit.
+
 
 def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
     tape = Tape()
