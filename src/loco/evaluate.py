@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .backbone import BackboneConfig, Seeds
+from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
 from .guidance import (GuidanceConfig, LossBreakdown, _flat_masks,
                        _guided_step, _is_nonnegative_int, _noise_draws,
@@ -228,8 +228,7 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     if cfg.guided_steps < 1:
         raise ContractError("cross-box mass needs a guided step")
     _, plan, state = _setup(layout, backbone, seed)
-    *_, (seen,) = _guided_step(state.z[None], 0, plan, [cfg],
-                               keep_attention=True)
+    *_, (seen,) = _guided_step(state.z[None], 0, plan, [cfg])
     values = []
     for attn_values in seen:
         maps = object_maps(attn_values, layout)
@@ -357,9 +356,11 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     # run outermost, because the noise draws depend on the seed alone.
     cells: dict[tuple[int, int], list[dict]] = {}
     for j, seed in enumerate(seeds):
-        draws = list(_noise_draws(backbone, Seeds.from_master(seed).latent))
+        draws = None
         for i, (name, layout) in enumerate(suite):
             _, plan, start = _setup(layout, backbone, seed)
+            if draws is None:  # the seed's draws, for all its layouts
+                draws = list(_noise_draws(backbone, start.rng_seed))
             tracks = _trajectories(plan, start.z, draws, configs, backbone)
             scores = [_evaluate(layout, track.attention)[0]
                       for track in tracks]

@@ -409,41 +409,27 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def _block_sum(x: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Columns lo .. lo + n - 1 of x (n >= 8) summed in numpy's pairwise
-    order: eight accumulators over blocks of 8, combined pairwise, then the
-    tail; above 128 columns, the halves split at a multiple of 8."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        s = _block_sum(x, lo, half)
-        s += _block_sum(x, lo + half, n - half)
-        return s
-    end = n - n % 8
-    r = [x[..., lo + j:lo + j + 1] for j in range(8)]
-    for i in range(8, end, 8):
-        r = [r[j] + x[..., lo + i + j:lo + i + j + 1] for j in range(8)]
-    s, t, u, v = r[0] + r[1], r[2] + r[3], r[4] + r[5], r[6] + r[7]
-    s += t
-    u += v
-    s += u
-    for j in range(end, n):
-        s += x[..., lo + j:lo + j + 1]
-    return s
-
-
 def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)`` bit for bit, signed zeros included,
-    as column adds: numpy adds fewer than 8 columns left to right and longer
-    rows pairwise (``_block_sum``), and adds the result to its identity 0.0
-    last."""
+    """``x.sum(axis=-1, keepdims=True)`` bit for bit, signed zeros included.
+    Below 16 columns it adds them in numpy's order: fewer than 8 left to
+    right; else eight accumulators combined pairwise, then the tail. numpy
+    adds the result to its identity 0.0 last. Longer rows go to numpy."""
     n = x.shape[-1]
-    if n >= 8:
-        s = _block_sum(x, 0, n)
-        s += 0.0
+    if n >= 16:
+        return x.sum(axis=-1, keepdims=True)
+    if n < 8:
+        s = 0.0 + x[..., :1]
+        for j in range(1, n):
+            s += x[..., j:j + 1]
         return s
-    s = 0.0 + x[..., :1]
-    for j in range(1, n):
+    s = x[..., 0:1] + x[..., 1:2]
+    s += x[..., 2:3] + x[..., 3:4]
+    u = x[..., 4:5] + x[..., 5:6]
+    u += x[..., 6:7] + x[..., 7:8]
+    s += u
+    for j in range(8, n):
         s += x[..., j:j + 1]
+    s += 0.0
     return s
 
 
@@ -617,7 +603,7 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
-                 cfgs: Sequence[GuidanceConfig], keep_attention: bool = False
+                 cfgs: Sequence[GuidanceConfig]
                  ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]],
                             list[list[np.ndarray]]]:
     """Guided timestep ``index`` of a stack z, which it leaves unchanged.
@@ -627,8 +613,7 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     ``iterations_per_step``; they take their updates together, one stacked
     loss call per iteration, in place on a copy of their latents. Returns
     the live items' indices and updated latents, each item's loss
-    breakdowns, and, with ``keep_attention``, the attention values each
-    item differentiated (else empty lists).
+    breakdowns and the attention values each item differentiated.
     """
     live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
@@ -650,8 +635,7 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
         zr -= grad
         for i, breakdown, value in zip(live, _breakdowns(terms), values):
             losses[i].append(breakdown)
-            if keep_attention:
-                seen[i].append(value)
+            seen[i].append(value)
     return live, zr, losses, seen
 
 
