@@ -699,7 +699,9 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         for index, draw in zip(range(backbone.total_steps), draws,
                                strict=True):
             t = backbone.total_steps - index
-            live, z_live, losses, _ = _guided_step(z, index, plan, cfgs)
+            # The attention the guided iterations differentiated is dropped
+            # here, not held through the denoise and the next step.
+            live, z_live, losses = _guided_step(z, index, plan, cfgs)[:3]
             if live:
                 z[live] = z_live
             del z_live  # not held while the next step builds its own
