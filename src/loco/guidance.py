@@ -435,7 +435,8 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """Cross-attention values at stacked latents, (B, q, n): the row softmax
-    of (z W_q) K^T / sqrt(d), in ``cross_attention``'s operation order."""
+    of (z W_q) K^T / sqrt(d), in ``cross_attention``'s operation order. Row
+    p of an item depends on row p of its latent alone."""
     w_q = plan.proj.w_q
     logits = ((z @ w_q) @ plan.keys.T) / sqrt(w_q.shape[1])
     logits -= _row_max(logits)
@@ -473,28 +474,30 @@ def _breakdowns(terms: _Terms) -> list[LossBreakdown]:
             for l, c, t, f in zip(*(x.tolist() for x in terms))]
 
 
-def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
+def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
                    with_grad: bool = True
-                   ) -> tuple[np.ndarray | None, _Terms, np.ndarray]:
-    """``loco_loss`` at stacked latents z, (B, q, d_z), and its gradient, in
-    closed form; item b uses ``cfgs[b]``. The items share ``beta`` and
-    ``detach_norms`` (``_guided_step`` checks it) and take the rest from
-    their own config.
+                   ) -> tuple[np.ndarray | None, _Terms]:
+    """``loco_loss`` at a stack of attention values a, (B, q, n), and its
+    gradient with respect to the latents, (B, q, d_z), in closed form; item
+    b uses ``cfgs[b]``. The items share ``beta`` and ``detach_norms``
+    (``_guided_step`` checks it) and take the rest from their own config.
 
-    Returns the gradients (None without ``with_grad``), the loss terms
-    (``_breakdowns`` turns them into one breakdown per item) and the
-    attention values. It repeats the tape's forward and backward operation
-    by operation: the same numpy expressions on the same operand views, and
-    each adjoint summed in the tape's reverse node order. So each item's
-    outputs are bit-identical to ``cross_attention`` + ``loco_loss`` +
-    ``Tape.backward`` on its latent, which stay as the oracle. An item
-    without ``lac_normalize`` divides by 1.0 (exact), and its divisor
-    adjoint is selected away: adding zeros could flip a -0.0. ``target``
-    and ``frozen_norms`` act as in ``loco_loss``, on every item.
+    ``a`` is ``_attention`` of the latents; the loss reads only it, and the
+    backward ends in the query projection's weights, so no latent is
+    needed. Returns the gradients (None without ``with_grad``) and the loss
+    terms (``_breakdowns`` turns them into one breakdown per item). It
+    repeats the tape's forward and backward operation by operation: the
+    same numpy expressions on the same operand views, and each adjoint
+    summed in the tape's reverse node order. So each item's outputs are
+    bit-identical to ``cross_attention`` + ``loco_loss`` + ``Tape.backward``
+    on its latent, which stay as the oracle. An item without
+    ``lac_normalize`` divides by 1.0 (exact), and its divisor adjoint is
+    selected away: adding zeros could flip a -0.0. ``target`` and
+    ``frozen_norms`` act as in ``loco_loss``, on every item.
     """
-    if len(cfgs) != z.shape[0]:
+    if len(cfgs) != a.shape[0]:
         raise ContractError("a stacked loss needs one config per latent")
     alpha = np.array([c.alpha for c in cfgs], dtype=np.float64)
     normalize = np.array([c.lac_normalize for c in cfgs])[:, None]
@@ -503,7 +506,6 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
     held = cfgs[0].detach_norms or frozen_norms is not None
     kt, w_q = plan.keys.T, plan.proj.w_q
     scale = sqrt(w_q.shape[1])
-    a = _attention(plan, z)
     b, q = a.shape[:2]
 
     # lac: the in-box share of the (rescaled) object maps, (B, k, q).
@@ -559,7 +561,7 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
 
     terms = lac, ptc, total, inbox / np.maximum(every, EPS)
     if not with_grad:
-        return None, terms, a
+        return None, terms
 
     # Backward through ptc; d total / d ptc = alpha, even when it is 0.
     g_good = (-(alpha / float(q)))[:, None]
@@ -599,7 +601,7 @@ def _loss_and_grad(plan: _Plan, z: np.ndarray, cfgs: Sequence[GuidanceConfig],
     # Backward through the softmax and both projections.
     inner = _row_sum(g_a * a)
     g_logits = a * (g_a - inner) / scale
-    return (g_logits @ kt.T) @ w_q.T, terms, a
+    return (g_logits @ kt.T) @ w_q.T, terms
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
@@ -618,9 +620,9 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
     seen: list[list[np.ndarray]] = [[] for _ in cfgs]
-    zr = z[live]  # a copy, since live is a list
     if not live:
-        return live, zr, losses, seen
+        return live, z[:0], losses, seen
+    zr = z[live]  # a copy, since live is a list
     part = [cfgs[i] for i in live]
     if len({(c.beta, c.detach_norms, c.iterations_per_step)
             for c in part}) != 1:
@@ -630,7 +632,8 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
     for _ in range(part[0].iterations_per_step):
-        grad, terms, values = _loss_and_grad(plan, zr, part)
+        values = _attention(plan, zr)
+        grad, terms = _loss_and_grad(plan, values, part)
         grad *= step
         zr -= grad
         for i, breakdown, value in zip(live, _breakdowns(terms), values):
@@ -821,7 +824,7 @@ def _check_instance(seed: int, resolution: int, content_words: int,
 
 
 # Coordinates per stacked forward call of the central differences: a stack
-# of 64 latents. Larger chunks ran no faster and raised the peak RSS.
+# of 64 perturbed latents.
 _FD_CHUNK = 32
 
 
@@ -836,29 +839,43 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     constants of the differentiated function, so they are held at their
     base-point values throughout. The differences run as stacked forward
     calls, the +step and -step latents of up to ``_FD_CHUNK`` coordinates
-    per call; each item is bit-identical to its own one-latent call, so
-    ``numeric`` equals differencing one coordinate at a time, byte for
-    byte.
+    per call. A perturbed latent differs from the base latent in one pixel
+    row, and attention is row-local, so only that row's attention is
+    recomputed: the perturbed rows go through ``_attention`` as one stack,
+    and each lands in a copy of the base attention. Each item is
+    bit-identical to its own one-latent call, so ``numeric`` equals
+    differencing one coordinate at a time, byte for byte.
     """
     layout, plan, cfg, z0 = _check_instance(seed, resolution, content_words,
                                             n_objects, detach_norms)
 
-    grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
-    analytic, values = grads[0], values[0]
+    base = _attention(plan, z0[None])
+    grads, _ = _loss_and_grad(plan, base, [cfg])
+    analytic, values = grads[0], base[0]
     target = target_maps(values, layout, plan.masks)
     frozen = loss_norms(values, layout) if detach_norms else None
 
+    q, d_z = z0.shape
     flat = z0.reshape(-1)
     numeric = np.empty(flat.size)
     for start in range(0, flat.size, _FD_CHUNK):
         idx = np.arange(start, min(start + _FD_CHUNK, flat.size))
         c = idx.size
-        zs = np.tile(flat, (2 * c, 1))
-        zs[np.arange(c), idx] = flat[idx] + FD_STEP
-        zs[np.arange(c, 2 * c), idx] = flat[idx] - FD_STEP
-        _, (_, _, totals, _), _ = _loss_and_grad(
-            plan, zs.reshape((2 * c,) + z0.shape), [cfg] * (2 * c), target,
-            frozen, with_grad=False)
+        items = np.arange(2 * c)
+        pixels, channels = np.divmod(np.tile(idx, 2), d_z)
+        rows = z0[pixels]
+        rows[items, channels] = np.concatenate(
+            (flat[idx] + FD_STEP, flat[idx] - FD_STEP))
+        # Two or more rows of one product take the bits they take inside
+        # the q-row forward; a lone row would go through another BLAS
+        # kernel. At q = 1 each row is a whole latent, so it keeps the
+        # stacked forward's shape.
+        shape = (2 * c, 1, d_z) if q == 1 else (1, 2 * c, d_z)
+        a = np.repeat(base, 2 * c, axis=0)
+        a[items, pixels] = _attention(plan, rows.reshape(shape)).reshape(
+            2 * c, -1)
+        _, (_, _, totals, _) = _loss_and_grad(
+            plan, a, [cfg] * (2 * c), target, frozen, with_grad=False)
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 

@@ -369,9 +369,9 @@ def test_benchmark_makes_one_loss_call_per_guided_iteration(cfg, monkeypatch):
     among them, share each iteration's one stacked loss call."""
     calls = []
 
-    def counting(plan, z, cfgs, *args, **kwargs):
+    def counting(plan, a, cfgs, *args, **kwargs):
         calls.append(len(cfgs))
-        return _loss_and_grad(plan, z, cfgs, *args, **kwargs)
+        return _loss_and_grad(plan, a, cfgs, *args, **kwargs)
 
     monkeypatch.setattr(guidance, "_loss_and_grad", counting)
     run_benchmark(_mini_suite(("pair_cat_dog",)), cfg, BackboneConfig(),

@@ -14,7 +14,7 @@ from loco.backbone import (BackboneConfig, Seeds,
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (FD_STEP, GuidanceConfig, _breakdowns,
+from loco.guidance import (FD_STEP, GuidanceConfig, _attention, _breakdowns,
                            _check_instance, _loss_and_grad, _noise_draws,
                            _setup, _trajectories,
                            gradient_check, guided_sample,
@@ -602,21 +602,23 @@ def test_gradient_check_minimal_four_token_chain():
 def test_gradient_check_negative_control(monkeypatch):
     """A damaged analytic gradient fails the check, so the check can fail."""
     def damaged(*args, with_grad=True, **kwargs):
-        grads, terms, values = _loss_and_grad(*args, with_grad=with_grad,
-                                              **kwargs)
+        grads, terms = _loss_and_grad(*args, with_grad=with_grad, **kwargs)
         if with_grad:
             grads[0, 0, 0] += 1e-2
-        return grads, terms, values
+        return grads, terms
 
     monkeypatch.setattr(guidance, "_loss_and_grad", damaged)
     result = gradient_check(7, resolution=8)
     assert result.max_rel_error > 1e-4
 
 
-# (resolution, content_words, n_objects, detach_norms): 6x6 ends in a
-# partial chunk of the stacked differences.
+# (resolution, content_words, n_objects, detach_norms). With d_z = 8 and
+# 32 coordinates per chunk, 5x5 (200 coordinates) ends in a partial chunk
+# of 8; 6x6, 8x8 and 16x16 fill their last chunk. At 1x1 (q = 1) each
+# perturbed row is a whole latent.
 _FD_CASES = [(r, w, o, d) for r in (6, 8, 16) for w, o in ((2, 2), (4, 2), (6, 1))
              for d in (False, True)]
+_FD_CASES += [(r, 4, 2, d) for r in (1, 5) for d in (False, True)]
 
 
 @pytest.mark.parametrize("resolution,words,objects,detach", _FD_CASES)
@@ -627,13 +629,15 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
     the target (and, detached, the divisors) held at the base point."""
     layout, plan, cfg, z0 = _check_instance(5, resolution, words, objects,
                                             detach)
-    grads, _, values = _loss_and_grad(plan, z0[None], [cfg])
+    values = _attention(plan, z0[None])
+    grads, _ = _loss_and_grad(plan, values, [cfg])
     target = target_maps(values[0], layout, plan.masks)
     frozen = loss_norms(values[0], layout) if detach else None
 
     def f(z):
-        _, (_, _, total, _), _ = _loss_and_grad(plan, z[None], [cfg], target,
-                                                frozen, with_grad=False)
+        _, (_, _, total, _) = _loss_and_grad(plan, _attention(plan, z[None]),
+                                             [cfg], target, frozen,
+                                             with_grad=False)
         return total[0]
 
     result = gradient_check(5, resolution=resolution, content_words=words,
@@ -658,6 +662,22 @@ def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
     coords = resolution * resolution * 8
     assert len(seen) == calls == 1 + math.ceil(coords / 32)
     assert sum(seen) == 1 + 2 * coords
+
+
+def test_gradient_check_recomputes_only_the_perturbed_rows(monkeypatch):
+    """The base attention once, then one attention row per perturbed
+    latent: q + 2 q d_z rows at 8x8, not a whole q-row latent each."""
+    rows = []
+
+    def counting(plan, z):
+        rows.append(z.shape[0] * z.shape[1])
+        return _attention(plan, z)
+
+    monkeypatch.setattr(guidance, "_attention", counting)
+    gradient_check(3, resolution=8)
+    q, d_z = 64, 8
+    assert rows[0] == q
+    assert sum(rows) == q + 2 * q * d_z == 64 + 1024
 
 
 def test_gradient_check_rejects_large_latents():
@@ -697,7 +717,8 @@ def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
 def _assert_tied(plan, z, layout, cfgs, **overrides):
     """Each item's gradient, breakdown and attention in a stacked call equal
     the tape's on that item's latent exactly."""
-    grads, terms, values = _loss_and_grad(plan, z, cfgs, **overrides)
+    values = _attention(plan, z)
+    grads, terms = _loss_and_grad(plan, values, cfgs, **overrides)
     breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
@@ -705,7 +726,8 @@ def _assert_tied(plan, z, layout, cfgs, **overrides):
         assert np.array_equal(grad, want[0])
         assert breakdown == want[1]
         assert np.array_equal(value, want[2])
-    forward = _loss_and_grad(plan, z, cfgs, with_grad=False, **overrides)[1]
+    forward = _loss_and_grad(plan, values, cfgs, with_grad=False,
+                             **overrides)[1]
     assert _breakdowns(forward) == breakdowns
     return grads
 
@@ -770,7 +792,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     _, plan, _ = _setup(layout, backbone, 11)
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
-    values = _loss_and_grad(plan, z0[None], [GuidanceConfig()])[2][0]
+    values = _attention(plan, z0[None])[0]
     target = target_maps(values, layout, plan.masks)
     frozen = loss_norms(values, layout)
     z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
