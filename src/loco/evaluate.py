@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, replace
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
@@ -112,23 +111,46 @@ def decode_labels(attn: np.ndarray, layout: Layout,
     return labels.reshape(res, res).astype(np.int64)
 
 
+def _components(labels: np.ndarray) -> np.ndarray:
+    """Each cell's 4-connected component among the cells of its label, named
+    by the flat index of the component's first cell in raster order: min-label
+    propagation between equal neighbours, with pointer jumping."""
+    root = np.arange(labels.size).reshape(labels.shape)
+    right = labels[:, 1:] == labels[:, :-1]
+    down = labels[1:] == labels[:-1]
+    while True:
+        low = root.copy()
+        np.minimum(low[:, 1:], root[:, :-1], out=low[:, 1:], where=right)
+        np.minimum(low[:, :-1], root[:, 1:], out=low[:, :-1], where=right)
+        np.minimum(low[1:], root[:-1], out=low[1:], where=down)
+        np.minimum(low[:-1], root[1:], out=low[:-1], where=down)
+        low = low.reshape(-1)[low]
+        if np.array_equal(low, root):
+            return root
+        root = low
+
+
 def detect_regions(labels: np.ndarray) -> list[Detection]:
     """Largest 4-connected component per object, as a tight normalized box.
 
+    ``labels`` is a square grid of nonnegative integers, 0 for background
+    and i+1 for object i, as ``decode_labels`` returns it. Of equally large
+    components the one whose first cell comes first in raster order wins.
     Objects with no cells are simply absent from the result.
     """
+    if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
+        raise ShapeError(f"labels of shape {labels.shape} are not a square grid")
+    if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
+        raise ContractError("labels must be nonnegative integers")
     res = labels.shape[0]
+    root = _components(labels).reshape(-1)
+    sizes = np.bincount(root, minlength=root.size)  # nonzero only at roots
+    flat = labels.reshape(-1)
     detections: list[Detection] = []
-    for value in sorted(np.unique(labels)):
-        if value == 0:
-            continue
-        components, count = ndimage.label(labels == value)
-        if count == 0:
-            continue
-        sizes = ndimage.sum_labels(np.ones_like(components), components,
-                                   index=range(1, count + 1))
-        largest = int(np.argmax(sizes)) + 1  # first max wins ties
-        rows, cols = np.nonzero(components == largest)
+    for value in np.unique(flat[flat > 0]):
+        # The first max: of equally large components, the lowest root.
+        largest = np.argmax(np.where(flat == value, sizes, 0))
+        rows, cols = np.divmod(np.flatnonzero(root == largest), res)
         box = BoundingBox(
             x0=cols.min() / res,
             y0=rows.min() / res,

@@ -11,13 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loco.backbone import (BackboneConfig, Seeds, build_projections,
-                           cross_attention, embed_tokens, init_latent)
+from loco.backbone import BackboneConfig, cross_attention
 from loco.cli import main
 from loco.diffmath import Tape
 from loco.evaluate import cross_mass_probe, run_benchmark
-from loco.guidance import (GuidanceConfig, gradient_check, guided_sample,
-                           lac_loss, loco_loss, ptc_maps, update_latent)
+from loco.guidance import (GuidanceConfig, _attention, _breakdowns,
+                           _guided_step, _loss_and_grad, _setup,
+                           gradient_check, guided_sample, lac_loss, loco_loss,
+                           ptc_maps, update_latent)
 from loco.layout import parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 from test_guidance import make_attention, uniform_attention
@@ -25,6 +26,13 @@ from test_guidance import make_attention, uniform_attention
 BCFG = BackboneConfig()
 GCFG = GuidanceConfig()
 SUITE_SEEDS = range(5)
+
+
+def shipped_terms(plan, values, cfg):
+    """The guided loop's loss terms (lac, ptc, total, in-box fractions) at
+    one (q, n) attention array, as ``_guided_step`` computes them."""
+    _, terms = _loss_and_grad(plan, values[None], [cfg], with_grad=False)
+    return [x[0] for x in terms]
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +74,21 @@ def test_criterion_2_closed_form_lac():
     }""")
     mask = rasterize_box(layout.boxes[0])
     assert mask.sum() == 64
+    _, plan, _ = _setup(layout, BCFG, 0)
 
-    uniform = float(lac_loss(make_attention(uniform_attention(4)), layout,
-                             [mask]).value)
+    uniform = float(shipped_terms(plan, uniform_attention(4), GCFG)[0])
     assert abs(uniform - 0.5625) <= 1e-12
+    assert uniform == float(lac_loss(make_attention(uniform_attention(4)),
+                                     layout, [mask]).value)
 
     values = np.full((256, 4), 1e-9)
     inside = mask.reshape(-1).astype(bool)
     values[inside, 1] = 0.9
     values[~inside, 1] = 0.0
-    contained = float(lac_loss(make_attention(values), layout, [mask]).value)
+    contained = float(shipped_terms(plan, values, GCFG)[0])
     assert contained <= 1e-9
+    assert contained == float(lac_loss(make_attention(values), layout,
+                                       [mask]).value)
     print(f"ACCEPTANCE 2 PASS: uniform-case loss {uniform!r} "
           f"(target 0.5625 +- 1e-12), in-box case {contained:.1e} <= 1e-9")
 
@@ -90,23 +102,31 @@ def test_criterion_3_descent():
       ]
     }""")
     masks = [rasterize_box(b) for b in layout.boxes]
+    # One guided iteration at gamma * lambda = 0.1.
+    one_step = replace(GCFG, gamma=0.1, guided_steps=1, iterations_per_step=1)
     descended = 0
     trials = 100
     for trial in range(trials):
-        seeds = Seeds.from_master(trial)
-        tokens = embed_tokens(layout.prompt, seeds.vocab, BCFG.d_e)
-        proj = build_projections(BCFG, seeds.proj)
-        state = init_latent(BCFG, seeds.latent)
+        _, plan, state = _setup(layout, BCFG, trial)
+        _, after, losses, _ = _guided_step(state.z[None], 0, plan, [one_step])
+        before = losses[0][0].total
+        recomputed = shipped_terms(plan, _attention(plan, after)[0], GCFG)[2]
+        descended += recomputed < before
+
+        # The same step on the tape.
         tape = Tape()
         z = tape.leaf(state.z)
-        attn = cross_attention(tape, z, tokens, proj)
+        attn = cross_attention(tape, z, plan.tokens, plan.proj)
         loss, _ = loco_loss(attn, layout, masks, GCFG)
         grad = tape.backward(loss)[z]
-        after = update_latent(state, grad, 1.0, 0.1)  # gamma * lambda = 0.1
+        tape_after = update_latent(state, grad, 1.0, 0.1)
         tape2 = Tape()
-        attn2 = cross_attention(tape2, tape2.constant(after.z), tokens, proj)
-        recomputed, _ = loco_loss(attn2, layout, masks, GCFG)
-        descended += float(recomputed.value) < float(loss.value)
+        attn2 = cross_attention(tape2, tape2.constant(tape_after.z),
+                                plan.tokens, plan.proj)
+        tape_recomputed, _ = loco_loss(attn2, layout, masks, GCFG)
+        assert before == float(loss.value)
+        assert np.array_equal(after[0], tape_after.z)
+        assert recomputed == float(tape_recomputed.value)
     assert descended >= 95
     print(f"ACCEPTANCE 3 PASS: descent in {descended}/{trials} trials >= 95")
 
@@ -182,24 +202,30 @@ def test_criterion_8_endpoint_checks():
       ]
     }""")
     masks = [rasterize_box(b) for b in layout.boxes]
+    _, plan, _ = _setup(layout, BCFG, 0)
     rng = np.random.default_rng(42)
     values = rng.dirichlet(np.ones(5), size=256)
 
-    _, breakdown = loco_loss(make_attention(values), layout, masks,
-                             replace(GCFG, alpha=0.0))
-    assert breakdown.total == breakdown.lac  # exact float equality
+    no_ptc = replace(GCFG, alpha=0.0)
+    _, terms = _loss_and_grad(plan, values[None], [no_ptc], with_grad=False)
+    [shipped] = _breakdowns(terms)
+    assert shipped.total == shipped.lac  # exact float equality
+    _, breakdown = loco_loss(make_attention(values), layout, masks, no_ptc)
+    assert shipped == breakdown
 
     # beta endpoints depend on exactly one padding-token map
-    base1 = ptc_maps(make_attention(values), beta=1.0).value
     eot_perturbed = values.copy()
     eot_perturbed[:, -1] = rng.random(256)
-    assert np.array_equal(base1, ptc_maps(make_attention(eot_perturbed),
-                                          beta=1.0).value)
-    base0 = ptc_maps(make_attention(values), beta=0.0).value
     sot_perturbed = values.copy()
     sot_perturbed[:, 0] = rng.random(256)
-    assert np.array_equal(base0, ptc_maps(make_attention(sot_perturbed),
-                                          beta=0.0).value)
+    for beta, perturbed in ((1.0, eot_perturbed), (0.0, sot_perturbed)):
+        cfg = replace(GCFG, beta=beta)
+        base = shipped_terms(plan, values, cfg)
+        moved = shipped_terms(plan, perturbed, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(base, moved))
+        assert np.array_equal(ptc_maps(make_attention(values), beta=beta).value,
+                              ptc_maps(make_attention(perturbed),
+                                       beta=beta).value)
     print("ACCEPTANCE 8 PASS: alpha=0 total equals the in-box loss exactly; "
           "beta endpoints ignore the unused padding map bit-for-bit")
 

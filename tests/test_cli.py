@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -392,6 +395,36 @@ def test_no_production_path_records_a_tape(tmp_path, layout_file, monkeypatch):
     assert gradient_check(3).max_rel_error <= 1e-4
     assert main(["generate", "--layout", str(layout_file), "--seed", "0",
                  "--out", str(tmp_path / "out")]) == 0
+
+
+# Run in a fresh interpreter where any import of scipy fails.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import loco
+from loco.cli import main
+layout, suite, out = sys.argv[1:]
+assert main(["generate", "--layout", layout, "--out", out + "/gen"]) == 0
+assert main(["bench", "--layout", suite, "--seeds", "1",
+             "--out", out + "/bench"]) == 0
+"""
+
+
+def test_package_runs_without_scipy(tmp_path, layout_file):
+    """numpy is the only runtime dependency: generate and a one-layout,
+    one-seed bench succeed when scipy cannot be imported."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / layout_file.name).write_text(layout_file.read_text())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(layout_file), str(suite),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_gradcheck_fails_on_a_non_finite_error(capsys, monkeypatch):

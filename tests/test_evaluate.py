@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loco.backbone import BackboneConfig, Seeds
 from loco.diffmath import ContractError, ShapeError
 from loco import evaluate, guidance
-from loco.evaluate import (ARMS, _evaluate, _record, aggregate_records,
-                           arm_config, cross_mass_probe, decode_labels,
+from loco.evaluate import (ARMS, Detection, _evaluate, _record,
+                           aggregate_records, arm_config, cross_mass_probe, decode_labels,
                            detect_regions, iou, layout_metrics, run_benchmark)
 from loco.guidance import (GuidanceConfig, _loss_and_grad, _trajectories,
                            guided_sample)
@@ -128,6 +130,18 @@ def test_detect_empty_map():
     assert detect_regions(np.zeros((16, 16), dtype=int)) == []
 
 
+# Two 3-cell components of label 1: the one whose first cell comes first in
+# raster order, (0, 4), wins the tie, though the other reaches further left
+# and further down.
+TIE = [[0, 0, 0, 0, 1, 1, 1],
+       [1, 0, 0, 0, 0, 0, 0],
+       [1, 0, 2, 0, 0, 0, 0],
+       [1, 0, 0, 0, 0, 0, 0],
+       [0, 0, 0, 0, 0, 0, 0],
+       [0, 0, 0, 0, 0, 0, 0],
+       [0, 0, 0, 0, 0, 0, 0]]
+
+
 def test_detect_keeps_largest_component():
     labels = np.zeros((16, 16), dtype=int)
     labels[0, 0:5] = 1  # size 5
@@ -135,27 +149,69 @@ def test_detect_keeps_largest_component():
     dets = detect_regions(labels)
     assert len(dets) == 1 and dets[0].area == 5
     assert dets[0].box.y0 == 0.0
+    tie = detect_regions(np.array(TIE))[0]
+    assert tie.area == 3 and tie.box == BoundingBox(4 / 7, 0.0, 1.0, 1 / 7)
 
 
-def test_detect_matches_bfs_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        labels = (rng.random((16, 16)) < 0.35).astype(int) * \
-            rng.integers(1, 4, size=(16, 16))
-        dets = {d.index: d for d in detect_regions(labels)}
-        for value in (1, 2, 3):
-            comps = connected_components(labels == value)
-            if not comps:
-                assert value - 1 not in dets
-                continue
-            best = max(comps, key=len)
-            det = dets[value - 1]
-            assert det.area == len(best)
-            rows = [r for r, _ in best]
-            cols = [c for _, c in best]
-            assert det.box.x0 == min(cols) / 16
-            assert det.box.y1 == (max(rows) + 1) / 16
-            assert det.centroid[0] == pytest.approx((np.mean(cols) + 0.5) / 16)
+def _serpentine(side):
+    """One component that winds through every row: full even rows, joined
+    at alternate ends."""
+    grid = np.zeros((side, side), dtype=np.int64)
+    grid[::2] = 1
+    grid[1::4, -1] = 1
+    grid[3::4, 0] = 1
+    return grid.tolist()
+
+
+# Square grids of sides 1-16 with labels 0 to a drawn top label of 1-4, so
+# one-label grids form large blobs and four-label grids fragment.
+LABEL_GRIDS = st.tuples(st.integers(1, 16), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(0, shape[1]), min_size=shape[0],
+                 max_size=shape[0]),
+        min_size=shape[0], max_size=shape[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(LABEL_GRIDS)
+@example(TIE)
+@example(_serpentine(16))
+@example(_serpentine(15))
+def test_detect_matches_bfs_oracle(grid):
+    """Every field of every detection equals the one built from the
+    breadth-first oracle's largest component, the first in scan order among
+    equals."""
+    labels = np.array(grid, dtype=np.int64)
+    side = labels.shape[0]
+    want = []
+    for value in range(1, 5):
+        comps = connected_components(labels == value)
+        if not comps:
+            continue
+        best = max(comps, key=len)  # max keeps the first of equal keys
+        rows = [r for r, _ in best]
+        cols = [c for _, c in best]
+        box = BoundingBox(min(cols) / side, min(rows) / side,
+                          (max(cols) + 1) / side, (max(rows) + 1) / side)
+        centroid = ((np.mean(cols) + 0.5) / side, (np.mean(rows) + 0.5) / side)
+        want.append(Detection(index=value - 1, box=box, area=len(best),
+                              centroid=centroid))
+    assert detect_regions(labels) == want
+
+
+@pytest.mark.parametrize("labels, error", [
+    (np.zeros((3, 2), dtype=np.int64), ShapeError),
+    (np.zeros((2, 3), dtype=np.int64), ShapeError),
+    (np.zeros(4, dtype=np.int64), ShapeError),
+    (np.zeros((2, 2, 2), dtype=np.int64), ShapeError),
+    (np.array([[0, 1], [-1, 0]]), ContractError),
+    (np.ones((2, 2)), ContractError),
+    (np.ones((2, 2), dtype=bool), ContractError),
+], ids=["3x2", "2x3", "1-D", "3-D", "negative", "float", "bool"])
+def test_detect_rejects_a_grid_that_is_not_square_nonnegative_ints(labels,
+                                                                   error):
+    with pytest.raises(error):
+        detect_regions(labels)
 
 
 def test_iou_cases():
