@@ -433,12 +433,33 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Workspace:
+    """The (B, q, d_z) work arrays of one stacked trajectory, made once per
+    ``_trajectories`` call. A call on m <= B latents writes into their
+    leading slices ``[:m]``; each result is consumed before the array is
+    written again. The same products as fresh arrays, without allocating
+    and faulting in a few hundred KB per call."""
+
+    live: np.ndarray  # a guided step's copy of its live latents
+    proj: np.ndarray  # z @ W_q in the forward; g_logits @ K in the backward
+    grad: np.ndarray  # the latent gradient; then the denoise's increments
+
+    @classmethod
+    def like(cls, z: np.ndarray) -> _Workspace:
+        return cls(*(np.empty_like(z) for _ in range(3)))
+
+
+def _attention(plan: _Plan, z: np.ndarray,
+               work: _Workspace | None = None) -> np.ndarray:
     """Cross-attention values at stacked latents, (B, q, n): the row softmax
     of (z W_q) K^T / sqrt(d), in ``cross_attention``'s operation order. Row
-    p of an item depends on row p of its latent alone."""
+    p of an item depends on row p of its latent alone. With ``work`` the
+    query projection goes into ``work.proj``; the values are a fresh array
+    either way, so callers may keep them."""
     w_q = plan.proj.w_q
-    logits = ((z @ w_q) @ plan.keys.T) / sqrt(w_q.shape[1])
+    zq = np.matmul(z, w_q, out=None if work is None else work.proj[:len(z)])
+    logits = (zq @ plan.keys.T) / sqrt(w_q.shape[1])
     logits -= _row_max(logits)
     e = np.exp(logits, out=logits)
     e /= _row_sum(e)
@@ -477,7 +498,7 @@ def _breakdowns(terms: _Terms) -> list[LossBreakdown]:
 def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
-                   with_grad: bool = True
+                   with_grad: bool = True, work: _Workspace | None = None
                    ) -> tuple[np.ndarray | None, _Terms]:
     """``loco_loss`` at a stack of attention values a, (B, q, n), and its
     gradient with respect to the latents, (B, q, d_z), in closed form; item
@@ -495,7 +516,10 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     on its latent, which stay as the oracle. An item without
     ``lac_normalize`` divides by 1.0 (exact), and its divisor adjoint is
     selected away: adding zeros could flip a -0.0. ``target`` and
-    ``frozen_norms`` act as in ``loco_loss``, on every item.
+    ``frozen_norms`` act as in ``loco_loss``, on every item. With ``work``
+    the backward's two projections go into ``work.proj`` and ``work.grad``,
+    and the gradients returned are ``work.grad[:B]``; without it they are
+    fresh.
     """
     if len(cfgs) != a.shape[0]:
         raise ContractError("a stacked loss needs one config per latent")
@@ -535,7 +559,14 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     lac = short * short
 
     # ptc: cross-entropy of the blended SoT-complement and EoT maps, (B, q).
-    sot, eot = ((a @ col)[..., 0] for col in plan.pads)
+    # The tape takes them as products with the one-hot columns plan.pads;
+    # the column slices give the same bits. A softmax row is either all
+    # finite and >= +0 (exp is never negative and the row sum is at least
+    # 1) or all NaN (a NaN or infinite logit reaches every entry through
+    # the row max or sum). In a finite row the product with the 1 is the
+    # entry and every other product is +0, and adding +0 to a value that is
+    # not -0 leaves it unchanged, in any order; a NaN row gives NaN.
+    sot, eot = a[..., 0], a[..., -1]
     inverted = 1.0 - sot
     if frozen_norms is not None:
         n_sot, n_eot = float(frozen_norms.sot), float(frozen_norms.eot)
@@ -601,11 +632,15 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     # Backward through the softmax and both projections.
     inner = _row_sum(g_a * a)
     g_logits = a * (g_a - inner) / scale
-    return (g_logits @ kt.T) @ w_q.T, terms
+    proj, grad = (None, None) if work is None else (work.proj[:b],
+                                                    work.grad[:b])
+    return np.matmul(np.matmul(g_logits, kt.T, out=proj), w_q.T,
+                     out=grad), terms
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
-                 cfgs: Sequence[GuidanceConfig]
+                 cfgs: Sequence[GuidanceConfig],
+                 work: _Workspace | None = None
                  ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]],
                             list[list[np.ndarray]]]:
     """Guided timestep ``index`` of a stack z, which it leaves unchanged.
@@ -613,16 +648,20 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     Items with ``index >= guided_steps`` keep their latent. The others, the
     live items, must share ``beta``, ``detach_norms`` and
     ``iterations_per_step``; they take their updates together, one stacked
-    loss call per iteration, in place on a copy of their latents. Returns
-    the live items' indices and updated latents, each item's loss
-    breakdowns and the attention values each item differentiated.
+    loss call per iteration, in place on their copy in ``work.live`` (a
+    workspace like z's is made when none is given). Returns the live
+    items' indices and updated latents, a view of ``work.live``, each
+    item's loss breakdowns and the attention values each item
+    differentiated.
     """
     live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
     seen: list[list[np.ndarray]] = [[] for _ in cfgs]
     if not live:
         return live, z[:0], losses, seen
-    zr = z[live]  # a copy, since live is a list
+    if work is None:
+        work = _Workspace.like(z)
+    zr = np.take(z, live, axis=0, out=work.live[:len(live)])
     part = [cfgs[i] for i in live]
     if len({(c.beta, c.detach_norms, c.iterations_per_step)
             for c in part}) != 1:
@@ -632,8 +671,8 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
     for _ in range(part[0].iterations_per_step):
-        values = _attention(plan, zr)
-        grad, terms = _loss_and_grad(plan, values, part)
+        values = _attention(plan, zr, work)
+        grad, terms = _loss_and_grad(plan, values, part, work=work)
         grad *= step
         zr -= grad
         for i, breakdown, value in zip(live, _breakdowns(terms), values):
@@ -690,10 +729,11 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     rho = backbone.rho
     e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
-    # The stack and its work buffer: the denoise and the noise write into
-    # them in place, the same operations as fresh arrays without allocating.
+    # The stack and its workspace: the guided updates, the projections, the
+    # denoise and the noise write into them in place, the same operations
+    # as fresh arrays without allocating.
     z = np.repeat(z0[None], len(cfgs), axis=0)
-    work = np.empty_like(z)
+    work = _Workspace.like(z)
     curves: list[list[LossBreakdown]] = [[] for _ in cfgs]
     steps: list[list[StepRecord]] = [[] for _ in cfgs]
 
@@ -704,22 +744,22 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             t = backbone.total_steps - index
             # The attention the guided iterations differentiated is dropped
             # here, not held through the denoise and the next step.
-            live, z_live, losses = _guided_step(z, index, plan, cfgs)[:3]
+            live, z_live, losses = _guided_step(z, index, plan, cfgs,
+                                                work)[:3]
             if live:
                 z[live] = z_live
-            del z_live  # not held while the next step builds its own
-            attn = _attention(plan, z)
+            attn = _attention(plan, z, work)
             # denoise_step on every item: (1 - rho) z + rho (A E_v), then
             # sigma times the shared draw.
             sigma = effective_noise(
                 backbone, t, z, expected_latent_rms(backbone, index, value_rms))
-            np.matmul(attn, e_v, out=work)
-            work *= rho
+            delta = np.matmul(attn, e_v, out=work.grad)
+            delta *= rho
             z *= 1.0 - rho
-            z += work
+            z += delta
             if draw is not None:
-                np.multiply(sigma[:, None, None], draw, out=work)
-                z += work
+                np.multiply(sigma[:, None, None], draw, out=delta)
+                z += delta
             # Checked here, once per timestep: a latent whose mean square is
             # not finite gets a sigma that is not finite, and its noise
             # carries that into z.
@@ -736,7 +776,7 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
                         losses=tuple(losses[i]), attention=attn[i],
                         z_after=z[i].copy()))  # z changes in place
 
-    attn = _attention(plan, z)
+    attn = _attention(plan, z, work)
     return [_Track(curve=curves[i], steps=steps[i], z=z[i], attention=attn[i])
             for i in range(len(cfgs))]
 

@@ -481,3 +481,23 @@ def test_cross_mass_probe_leaves_the_start_latent_unchanged(monkeypatch):
     cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
     (state, before), = starts
     assert state.z.tobytes() == before.tobytes()
+
+
+def test_cross_mass_probe_averages_five_distinct_attention_arrays(
+        monkeypatch):
+    """The attention arrays the probe reads are one per inner iteration,
+    each its own array: none is a view of a reused buffer."""
+    seen = []
+
+    def recording(*args):
+        out = guidance._guided_step(*args)
+        seen.extend(out[3][0])
+        return out
+
+    monkeypatch.setattr(evaluate, "_guided_step", recording)
+    cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
+    assert len(seen) == GuidanceConfig().iterations_per_step == 5
+    for i, a in enumerate(seen):
+        for b in seen[i + 1:]:
+            assert not np.shares_memory(a, b)
+            assert not np.array_equal(a, b)

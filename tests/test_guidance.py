@@ -394,6 +394,27 @@ def test_guided_step_leaves_its_input_stack_unchanged():
                                             for i in range(len(cfgs))]
 
 
+def _arrays(tracks):
+    """Every array a list of tracks hands out."""
+    return [a for track in tracks
+            for a in (track.z, track.attention,
+                      *(x for step in track.steps
+                        for x in (step.attention, step.z_after)))]
+
+
+def test_two_trajectory_calls_share_no_memory():
+    """Each ``_trajectories`` call owns its stack and workspace: the tracks
+    of a second, identical call are equal to the first's and share no
+    memory with them."""
+    stack = [GuidanceConfig(guided_steps=2), GuidanceConfig(guided_steps=0),
+             GuidanceConfig(guided_steps=1, gamma=5.0)]
+    first, second = (_arrays(_stacked_run(LAYOUT, stack, 2))
+                     for _ in range(2))
+    for a, b in zip(first, second, strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
 def test_kept_snapshots_hold_their_own_latents():
     """The stack is updated in place; each step's snapshot still equals the
     oracle loop's latent after the run ends, and shares no memory."""
@@ -591,6 +612,15 @@ def test_gradient_check_both_modes():
         result = gradient_check(7, resolution=8, content_words=4,
                                 n_objects=2, detach_norms=detach)
         assert result.max_rel_error <= 1e-4
+
+
+def test_successive_gradient_checks_share_no_memory():
+    first, second = (gradient_check(3, resolution=6) for _ in range(2))
+    arrays = [first.analytic, first.numeric, second.analytic, second.numeric]
+    assert first.analytic.tobytes() == second.analytic.tobytes()
+    assert first.numeric.tobytes() == second.numeric.tobytes()
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_gradient_check_minimal_four_token_chain():
@@ -806,3 +836,30 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
         # Items that differ in lac_normalize, at both points, as one stack.
         _assert_tied(plan, np.stack([z0] * 3 + [z1] * 3), layout,
                      MIXED_NORMALIZE * 2, **overrides)
+
+
+def test_pad_maps_are_the_one_hot_products_bit_for_bit():
+    """``_loss_and_grad`` takes the SoT and EoT maps as column slices, where
+    the tape multiplies by one-hot columns. On nonnegative stacks with
+    exact zeros the two give the same bits, and at latents large enough
+    for the softmax to underflow to exact zeros the loss still ties the
+    tape."""
+    rng = np.random.default_rng(0)
+    for n in (3, 4, 5, 9, 16, 17):
+        a = rng.random((6, 64, n))
+        a[rng.random(a.shape) < 0.4] = 0.0
+        a[0, 0] = 0.0
+        a[1, 1] = 0.0
+        a[1, 1, -1] = 1.0
+        a[2] = a[2] / a[2].sum(axis=-1, keepdims=True).clip(1e-300)
+        a[3] *= 2.0 ** -1070  # subnormal entries
+        for col, got in zip(guidance._pad_columns(n),
+                            (a[..., 0], a[..., -1])):
+            assert ((a @ col)[..., 0]).tobytes() == got.tobytes()
+    _, plan, start = _setup(LAYOUT, BCFG, 0)
+    z = np.stack([start.z * 3000.0, start.z * 1000.0, start.z])
+    values = _attention(plan, z)
+    for pad in (values[:2, :, 0], values[:2, :, -1]):
+        assert (pad == 0.0).sum() > 100
+    for cfgs in TIE_STACKS.values():
+        _assert_tied(plan, z, LAYOUT, cfgs)
