@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from math import sqrt
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,32 +80,34 @@ def _check_fields(config, bounds: dict[str, tuple[float, float]]) -> None:
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Dimensions and dynamics of the toy denoiser.
+    """Dimensions of the toy denoiser, its only fields.
 
-    ``rho`` (pull toward the attended value vector), ``query_gain`` (logit
-    sharpness), ``query_noise`` (off-diagonal perturbation of the query
-    projection) and ``sigma0`` (initial noise level, decaying linearly to
-    zero) were calibrated once against the argmax-stability property and
-    are frozen here.
+    Its dynamics stand in for a frozen pretrained model's weights, so they
+    are class constants: ``rho`` (pull toward the attended value vector),
+    ``query_gain`` (logit sharpness), ``query_noise`` (off-diagonal
+    perturbation of the query projection) and ``sigma0`` (initial noise
+    level, decaying linearly to zero) were calibrated once against the
+    argmax-stability property and are frozen here.
     """
 
-    d_e: int = 32
-    d_z: int = 32
-    total_steps: int = 51
-    resolution: int = 16
-    rho: float = 0.08
-    sigma0: float = 0.05
-    query_gain: float = 7.5
-    query_noise: float = 0.25
-    init_scale: float = 0.15
+    total_steps: ClassVar[int] = 51
+    rho: ClassVar[float] = 0.08
+    sigma0: ClassVar[float] = 0.05
+    query_gain: ClassVar[float] = 7.5
+    query_noise: ClassVar[float] = 0.25
+    init_scale: ClassVar[float] = 0.15
     # Reconstruction noise for out-of-range latents: the frozen denoiser is
     # calibrated for latents near each timestep's expected scale, and
     # degrades on inputs pushed far beyond it (the toy's fidelity channel).
-    ood_noise_gain: float = 5.5
-    ood_slack: float = 1.5
+    ood_noise_gain: ClassVar[float] = 5.5
+    ood_slack: ClassVar[float] = 1.5
+
+    d_e: int = 32
+    d_z: int = 32
+    resolution: int = 16
 
     def __post_init__(self):
-        _check_fields(self, {"rho": (0, 1)})
+        _check_fields(self, {})
 
     @property
     def q(self) -> int:

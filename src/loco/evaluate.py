@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .guidance import (GuidanceConfig, LossBreakdown, _flat_masks,
+from .guidance import (GuidanceConfig, LossBreakdown, _attention, _flat_masks,
                        _guided_step, _is_nonnegative_int, _noise_draws,
                        _setup, _trajectories, object_maps)
 # Not called here; it stays a module attribute because perfbench's layer trace
@@ -243,17 +243,19 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     object j's box, averaged over the inner iterations of the first guided
     timestep, where the boxes are still contested. Later in the trajectory
     any guided run drives cross mass to numerical zero, so this early
-    window is where object-fusion pressure is actually measurable.
+    window is where object-fusion pressure is actually measurable. It steps
+    one iteration at a time, reading the attention before each update.
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
     if cfg.guided_steps < 1:
         raise ContractError("cross-box mass needs a guided step")
-    _, plan, state = _setup(layout, backbone, seed)
-    *_, (seen,) = _guided_step(state.z[None], 0, plan, [cfg])
-    values = []
-    for attn_values in seen:
-        maps = object_maps(attn_values, layout)
+    plan, start = _setup(layout, backbone, seed)
+    one = replace(cfg, iterations_per_step=1)
+    z, values = start.z[None], []
+    for _ in range(cfg.iterations_per_step):
+        maps = object_maps(_attention(plan, z)[0], layout)
+        z = _guided_step(z, 0, plan, [one])[1]
         values += [float((maps[i] * plan.flats[j]).sum())
                    for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))
@@ -380,7 +382,7 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     for j, seed in enumerate(seeds):
         draws = None
         for i, (name, layout) in enumerate(suite):
-            _, plan, start = _setup(layout, backbone, seed)
+            plan, start = _setup(layout, backbone, seed)
             if draws is None:  # the seed's draws, for all its layouts
                 draws = list(_noise_draws(backbone, start.rng_seed))
             tracks = _trajectories(plan, start.z, draws, configs, backbone)

@@ -40,7 +40,6 @@ from .backbone import (
     embed_tokens,
     expected_latent_rms,
     init_latent,
-    noise_scale,
     value_matrix,
 )
 # The trajectory engine below inlines these two; they stay attributes of this
@@ -340,7 +339,6 @@ class GuidedRun:
     layout: Layout
     config: GuidanceConfig
     backbone: BackboneConfig
-    seeds: Seeds
     tokens: TokenSet
     steps: tuple[StepRecord, ...]
     final_z: np.ndarray  # (q, d_z), the latent at t = 0
@@ -372,9 +370,9 @@ def _is_nonnegative_int(value) -> bool:
 
 
 def _setup(layout: Layout, backbone: BackboneConfig, seed: int
-           ) -> tuple[Seeds, _Plan, LatentState]:
-    """Seeds from the master seed, the run's constants and the start
-    latent."""
+           ) -> tuple[_Plan, LatentState]:
+    """The run's constants and its start latent, from the sub-seeds of the
+    master seed."""
     if not _is_nonnegative_int(seed):
         raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
     seeds = Seeds.from_master(seed)
@@ -385,7 +383,7 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
         tokens=tokens, proj=proj, masks=masks, keys=tokens.e @ proj.w_k,
         sel=_phrase_selector(layout.phrases, tokens.n),
         flats=_flat_masks(masks, backbone.q), pads=_pad_columns(tokens.n))
-    return seeds, plan, init_latent(backbone, seeds.latent)
+    return plan, init_latent(backbone, seeds.latent)
 
 
 # The closed-form loss and the trajectory engine work on stacks of latents,
@@ -641,8 +639,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
                  cfgs: Sequence[GuidanceConfig],
                  work: _Workspace | None = None
-                 ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]],
-                            list[list[np.ndarray]]]:
+                 ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]]]:
     """Guided timestep ``index`` of a stack z, which it leaves unchanged.
 
     Items with ``index >= guided_steps`` keep their latent. The others, the
@@ -650,15 +647,13 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     ``iterations_per_step``; they take their updates together, one stacked
     loss call per iteration, in place on their copy in ``work.live`` (a
     workspace like z's is made when none is given). Returns the live
-    items' indices and updated latents, a view of ``work.live``, each
-    item's loss breakdowns and the attention values each item
-    differentiated.
+    items' indices and updated latents, a view of ``work.live``, and each
+    item's loss breakdowns.
     """
     live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
-    seen: list[list[np.ndarray]] = [[] for _ in cfgs]
     if not live:
-        return live, z[:0], losses, seen
+        return live, z[:0], losses
     if work is None:
         work = _Workspace.like(z)
     zr = np.take(z, live, axis=0, out=work.live[:len(live)])
@@ -675,10 +670,9 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
         grad, terms = _loss_and_grad(plan, values, part, work=work)
         grad *= step
         zr -= grad
-        for i, breakdown, value in zip(live, _breakdowns(terms), values):
+        for i, breakdown in zip(live, _breakdowns(terms)):
             losses[i].append(breakdown)
-            seen[i].append(value)
-    return live, zr, losses, seen
+    return live, zr, losses
 
 
 @dataclass(frozen=True)
@@ -692,29 +686,27 @@ class _Track:
 
 
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
-                 ) -> Iterator[np.ndarray | None]:
+                 ) -> Iterator[np.ndarray]:
     """Each timestep's noise draw, first timestep first, as ``denoise_step``
     draws it from the run seed and t alone: a standard normal (q, d_z)
-    array, or None where the schedule has no noise. Lazy, so a lone run
-    holds one draw at a time; ``run_benchmark`` lists a seed's draws once
-    and shares them among its layouts."""
+    array. The schedule's noise is positive at every timestep a trajectory
+    visits, t = total_steps down to 1, so every timestep draws. Lazy, so a
+    lone run holds one draw at a time; ``run_benchmark`` lists a seed's
+    draws once and shares them among its layouts."""
     for t in range(backbone.total_steps, 0, -1):
-        if noise_scale(backbone, t) > 0:
-            rng = np.random.default_rng([rng_seed, 1, t])
-            yield rng.standard_normal((backbone.q, backbone.d_z))
-        else:
-            yield None
+        rng = np.random.default_rng([rng_seed, 1, t])
+        yield rng.standard_normal((backbone.q, backbone.d_z))
 
 
 def _trajectories(plan: _Plan, z0: np.ndarray,
-                  draws: Iterable[np.ndarray | None],
+                  draws: Iterable[np.ndarray],
                   cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig,
                   keep_steps: bool = False) -> list[_Track]:
     """Run one trajectory per config as one stack of latents.
 
     The items share the plan, the start latent ``z0``, (q, d_z), and each
-    timestep's noise draw, taken in order from ``draws`` (``_noise_draws``
-    of the run seed); ``gamma``, ``alpha``, ``lac_normalize`` and
+    timestep's (q, d_z) noise draw, taken in order from ``draws``
+    (``_noise_draws`` of the run seed); ``gamma``, ``alpha``, ``lac_normalize`` and
     ``guided_steps`` may differ, while the guided items share ``beta``,
     ``detach_norms`` and ``iterations_per_step``. Each item is
     bit-identical to its own run. ``keep_steps`` keeps each timestep's
@@ -742,10 +734,7 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         for index, draw in zip(range(backbone.total_steps), draws,
                                strict=True):
             t = backbone.total_steps - index
-            # The attention the guided iterations differentiated is dropped
-            # here, not held through the denoise and the next step.
-            live, z_live, losses = _guided_step(z, index, plan, cfgs,
-                                                work)[:3]
+            live, z_live, losses = _guided_step(z, index, plan, cfgs, work)
             if live:
                 z[live] = z_live
             attn = _attention(plan, z, work)
@@ -757,9 +746,8 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             delta *= rho
             z *= 1.0 - rho
             z += delta
-            if draw is not None:
-                np.multiply(sigma[:, None, None], draw, out=delta)
-                z += delta
+            np.multiply(sigma[:, None, None], draw, out=delta)
+            z += delta
             # Checked here, once per timestep: a latent whose mean square is
             # not finite gets a sigma that is not finite, and its noise
             # carries that into z.
@@ -794,11 +782,11 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     ``final_z``, (q, d_z), and its attention ``final_attention``, (q, n):
     one map per token, SoT first and EoT last.
     """
-    seeds, plan, start = _setup(layout, backbone, seeds)
+    plan, start = _setup(layout, backbone, seeds)
     track, = _trajectories(plan, start.z,
                            _noise_draws(backbone, start.rng_seed), [cfg],
                            backbone, keep_steps=True)
-    return GuidedRun(layout=layout, config=cfg, backbone=backbone, seeds=seeds,
+    return GuidedRun(layout=layout, config=cfg, backbone=backbone,
                      tokens=plan.tokens, steps=tuple(track.steps),
                      final_z=track.z, final_attention=track.attention)
 
@@ -858,7 +846,7 @@ def _check_instance(seed: int, resolution: int, content_words: int,
         raise ContractError("finite differences need a latent of at most 16x16")
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
-    _, plan, _ = _setup(layout, backbone, seed)
+    plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     return layout, plan, GuidanceConfig(detach_norms=detach_norms), z0
 

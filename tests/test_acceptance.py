@@ -74,7 +74,7 @@ def test_criterion_2_closed_form_lac():
     }""")
     mask = rasterize_box(layout.boxes[0])
     assert mask.sum() == 64
-    _, plan, _ = _setup(layout, BCFG, 0)
+    plan, _ = _setup(layout, BCFG, 0)
 
     uniform = float(shipped_terms(plan, uniform_attention(4), GCFG)[0])
     assert abs(uniform - 0.5625) <= 1e-12
@@ -107,8 +107,8 @@ def test_criterion_3_descent():
     descended = 0
     trials = 100
     for trial in range(trials):
-        _, plan, state = _setup(layout, BCFG, trial)
-        _, after, losses, _ = _guided_step(state.z[None], 0, plan, [one_step])
+        plan, state = _setup(layout, BCFG, trial)
+        _, after, losses = _guided_step(state.z[None], 0, plan, [one_step])
         before = losses[0][0].total
         recomputed = shipped_terms(plan, _attention(plan, after)[0], GCFG)[2]
         descended += recomputed < before
@@ -202,7 +202,7 @@ def test_criterion_8_endpoint_checks():
       ]
     }""")
     masks = [rasterize_box(b) for b in layout.boxes]
-    _, plan, _ = _setup(layout, BCFG, 0)
+    plan, _ = _setup(layout, BCFG, 0)
     rng = np.random.default_rng(42)
     values = rng.dirichlet(np.ones(5), size=256)
 

@@ -473,9 +473,9 @@ def test_cross_mass_probe_leaves_the_start_latent_unchanged(monkeypatch):
     starts = []
 
     def recording(*args):
-        seeds, plan, state = guidance._setup(*args)
+        plan, state = guidance._setup(*args)
         starts.append((state, state.z.copy()))
-        return seeds, plan, state
+        return plan, state
 
     monkeypatch.setattr(evaluate, "_setup", recording)
     cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
@@ -490,11 +490,11 @@ def test_cross_mass_probe_averages_five_distinct_attention_arrays(
     seen = []
 
     def recording(*args):
-        out = guidance._guided_step(*args)
-        seen.extend(out[3][0])
+        out = guidance._attention(*args)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(evaluate, "_guided_step", recording)
+    monkeypatch.setattr(evaluate, "_attention", recording)
     cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
     assert len(seen) == GuidanceConfig().iterations_per_step == 5
     for i, a in enumerate(seen):

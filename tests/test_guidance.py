@@ -361,7 +361,7 @@ def _oracle_run(layout, cfg, seed):
 
 
 def _stacked_run(layout, cfgs, seed):
-    _, plan, start = _setup(layout, BCFG, seed)
+    plan, start = _setup(layout, BCFG, seed)
     return _trajectories(plan, start.z, _noise_draws(BCFG, start.rng_seed),
                          cfgs, BCFG, keep_steps=True)
 
@@ -381,13 +381,13 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
 
 
 def test_guided_step_leaves_its_input_stack_unchanged():
-    _, plan, start = _setup(LAYOUT, BCFG, 1)
+    plan, start = _setup(LAYOUT, BCFG, 1)
     guided, unguided = GuidanceConfig(), GuidanceConfig(guided_steps=0)
     for cfgs, want in (([guided, unguided, guided], [0, 2]),
                        ([guided, guided], [0, 1])):
         z = np.repeat(start.z[None], len(cfgs), axis=0)
         before = z.tobytes()
-        live, z_live, losses, _ = guidance._guided_step(z, 0, plan, cfgs)
+        live, z_live, losses = guidance._guided_step(z, 0, plan, cfgs)
         assert z.tobytes() == before
         assert live == want and not np.shares_memory(z_live, z)
         assert [len(x) for x in losses] == [5 if i in want else 0
@@ -481,20 +481,6 @@ def test_row_reductions_tie_numpy_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (ours.__name__, n)
             assert guidance._row_sum(zeros).tobytes() == \
                 zeros.sum(axis=-1, keepdims=True).tobytes()
-
-
-def test_noiseless_schedule_draws_nothing():
-    backbone = BackboneConfig(sigma0=0.0)
-    assert list(_noise_draws(backbone, 5)) == [None] * backbone.total_steps
-    run = guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), backbone, 5)
-    _, plan, state = _setup(LAYOUT, backbone, 5)
-    for _ in range(backbone.total_steps):
-        tape = Tape()
-        attn = cross_attention(tape, tape.constant(state.z), plan.tokens,
-                               plan.proj)
-        state = denoise_step(state, attn.value, plan.tokens, plan.proj,
-                             backbone.rho, 0.0)
-    assert run.final_z.tobytes() == state.z.tobytes()
 
 
 def _arms(**flags):
@@ -771,7 +757,7 @@ def _stack(cfg):
 
 def _walk_tied(layout, seed, cfgs, iterations=3):
     """Tie the two gradients along the first iterations of a guided step."""
-    _, plan, state = _setup(layout, BCFG, seed)
+    plan, state = _setup(layout, BCFG, seed)
     z = np.repeat(state.z[None], len(cfgs), axis=0)
     step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
     for _ in range(iterations):
@@ -819,7 +805,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
       "objects": [{"phrase": "cat", "box": [0.0, 0.1, 0.6, 0.7]},
                   {"phrase": "star", "box": [0.4, 0.3, 1.0, 1.0]}]
     }""")
-    _, plan, _ = _setup(layout, backbone, 11)
+    plan, _ = _setup(layout, backbone, 11)
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     values = _attention(plan, z0[None])[0]
@@ -856,7 +842,7 @@ def test_pad_maps_are_the_one_hot_products_bit_for_bit():
         for col, got in zip(guidance._pad_columns(n),
                             (a[..., 0], a[..., -1])):
             assert ((a @ col)[..., 0]).tobytes() == got.tobytes()
-    _, plan, start = _setup(LAYOUT, BCFG, 0)
+    plan, start = _setup(LAYOUT, BCFG, 0)
     z = np.stack([start.z * 3000.0, start.z * 1000.0, start.z])
     values = _attention(plan, z)
     for pad in (values[:2, :, 0], values[:2, :, -1]):
