@@ -706,9 +706,9 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
 
     The items share the plan, the start latent ``z0``, (q, d_z), and each
     timestep's (q, d_z) noise draw, taken in order from ``draws``
-    (``_noise_draws`` of the run seed); ``gamma``, ``alpha``, ``lac_normalize`` and
-    ``guided_steps`` may differ, while the guided items share ``beta``,
-    ``detach_norms`` and ``iterations_per_step``. Each item is
+    (``_noise_draws`` of the run seed); ``gamma``, ``alpha``,
+    ``lac_normalize`` and ``guided_steps`` may differ, while the guided
+    items share ``beta``, ``detach_norms`` and ``iterations_per_step``. Each item is
     bit-identical to its own run. ``keep_steps`` keeps each timestep's
     ``StepRecord``; without it only the loss curve and the final latent and
     attention are kept.
