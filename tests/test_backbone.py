@@ -155,9 +155,16 @@ def test_denoise_contract_errors():
         denoise_step(state, attn[:, :-1], tokens, proj, 0.1, 0.0)
 
 
+# Each case keeps the id it had when the list also held the dynamics'
+# bounds; bad0 and bad1 are non-finite-range dimension cases in their place.
 @pytest.mark.parametrize("bad", [
-    dict(resolution=0), dict(d_e=0), dict(d_z=-1),
-    dict(resolution=16.0), dict(d_z=True),
+    pytest.param(dict(d_e=10 ** 400), id="bad0"),
+    pytest.param(dict(resolution=float("nan")), id="bad1"),
+    pytest.param(dict(resolution=0), id="bad2"),
+    pytest.param(dict(d_e=0), id="bad3"),
+    pytest.param(dict(d_z=-1), id="bad4"),
+    pytest.param(dict(resolution=16.0), id="bad12"),
+    pytest.param(dict(d_z=True), id="bad13"),
 ])
 def test_backbone_config_validation(bad):
     with pytest.raises(ContractError):
