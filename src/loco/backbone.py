@@ -187,16 +187,17 @@ def build_projections(cfg: BackboneConfig, seed: int) -> ProjectionSet:
 
 @dataclass(frozen=True)
 class LatentState:
-    """Latent pixels plus countdown bookkeeping; t runs T -> 0."""
+    """Latent pixels plus countdown bookkeeping; t runs
+    ``BackboneConfig.total_steps`` -> 0."""
 
     z: np.ndarray  # (q, d_z)
     t: int
-    total_steps: int
     rng_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.t <= self.total_steps:
-            raise ContractError(f"timestep {self.t} outside [0, {self.total_steps}]")
+        top = BackboneConfig.total_steps
+        if not 0 <= self.t <= top:
+            raise ContractError(f"timestep {self.t} outside [0, {top}]")
 
 
 def init_latent(cfg: BackboneConfig, rng_seed: int) -> LatentState:
@@ -208,8 +209,7 @@ def init_latent(cfg: BackboneConfig, rng_seed: int) -> LatentState:
     """
     rng = np.random.default_rng([rng_seed, 0])
     z = cfg.init_scale * rng.standard_normal((cfg.q, cfg.d_z))
-    return LatentState(z=z, t=cfg.total_steps, total_steps=cfg.total_steps,
-                       rng_seed=rng_seed)
+    return LatentState(z=z, t=cfg.total_steps, rng_seed=rng_seed)
 
 
 def cross_attention(tape: Tape, z: Var, tokens: TokenSet,
@@ -299,5 +299,4 @@ def denoise_step(state: LatentState, attn: np.ndarray, tokens: TokenSet,
     if sigma_t > 0:
         rng = np.random.default_rng([state.rng_seed, 1, state.t])
         z = z + sigma_t * rng.standard_normal(state.z.shape)
-    return LatentState(z=z, t=state.t - 1, total_steps=state.total_steps,
-                       rng_seed=state.rng_seed)
+    return LatentState(z=z, t=state.t - 1, rng_seed=state.rng_seed)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .evaluate import DEFAULT_TAU, _evaluate, run_benchmark
+from .evaluate import TAU, _evaluate, run_benchmark
 from .guidance import (GuidanceConfig, GuidedRun, gradient_check, guided_sample,
                        object_maps)
 from .layout import LayoutError, parse_layout
@@ -175,7 +175,7 @@ def _write_generate_artifacts(run: GuidedRun, out: Path, seed: int,
     res = run.backbone.resolution
     (out / "labels.json").write_text(json.dumps({
         "resolution": res,
-        "tau": DEFAULT_TAU,
+        "tau": TAU,
         "labels": labels.tolist(),
     }, indent=2) + "\n")
     written.append("labels.json")

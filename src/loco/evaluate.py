@@ -48,7 +48,8 @@ __all__ = [
 # loss.
 ARMS = ("none", "lac_wo_norm", "lac", "lac_ptc")
 
-DEFAULT_TAU = 0.3
+# Decode threshold on the max-rescaled object maps.
+TAU = 0.3
 IOU_THRESHOLD = 0.5
 
 
@@ -91,23 +92,20 @@ def _grid_side(attn: np.ndarray) -> int:
     return side
 
 
-def decode_labels(attn: np.ndarray, layout: Layout,
-                  tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Cellwise argmax over max-rescaled object maps; background below tau.
+def decode_labels(attn: np.ndarray, layout: Layout) -> np.ndarray:
+    """Cellwise argmax over max-rescaled object maps; background below TAU.
 
     ``attn`` is a (q, n) attention array over a square grid of q cells.
     Returns a (resolution, resolution) integer grid with 0 for background
     and i+1 for object i.
     """
-    if not 0.0 < tau < 1.0:
-        raise ContractError(f"tau must lie in (0, 1), got {tau}")
     res = _grid_side(attn)
     maps = object_maps(attn, layout)
     peaks = np.maximum(maps.max(axis=1, keepdims=True), 1e-12)
     scaled = maps / peaks
     best = scaled.argmax(axis=0)
     best_value = scaled.max(axis=0)
-    labels = np.where(best_value >= tau, best + 1, 0)
+    labels = np.where(best_value >= TAU, best + 1, 0)
     return labels.reshape(res, res).astype(np.int64)
 
 
@@ -201,14 +199,12 @@ def layout_metrics(detections: Sequence[Detection], layout: Layout,
     by_index = {d.index: d for d in detections}
     masks = [rasterize_box(b, _grid_side(attn)) for b in layout.boxes]
     maps = object_maps(attn, layout)
-    flat_masks = _flat_masks(masks, maps.shape[1])
-    cross = tuple(
-        tuple(
-            float(np.sum(maps[i] * flat_masks[j]) / max(np.sum(maps[i]), 1e-12))
-            for j in range(layout.k)
-        )
-        for i in range(layout.k)
-    )
+    flats = _flat_masks(masks, maps.shape[1])
+    # Every row sum runs along the same contiguous axis as the per-pair
+    # np.sum(maps[i] * flats[j]), so each entry has the per-pair bits.
+    cross = tuple(map(tuple, (
+        (maps[:, None] * flats[None]).sum(axis=-1)
+        / np.maximum(maps.sum(axis=-1), 1e-12)[:, None]).tolist()))
 
     objects = []
     for i, gt_box in enumerate(layout.boxes):
@@ -347,8 +343,9 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
 
     Each (layout, seed) runs all its arms and sweep points as one stack of
     trajectories, and configs that compare equal run once (the gamma-30
-    sweep point is the ``lac_ptc`` arm). Only each run's loss curve and
-    final attention are kept. Every record equals the one its config's
+    sweep point is the ``lac_ptc`` arm). Of each timestep the trajectory
+    yields, only the loss breakdowns are kept, and the final latents are
+    scored. Every record equals the one its config's
     own ``guided_sample`` run gives.
     """
     if not suite:
@@ -385,10 +382,14 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
             plan, start = _setup(layout, backbone, seed)
             if draws is None:  # the seed's draws, for all its layouts
                 draws = list(_noise_draws(backbone, start.rng_seed))
-            tracks = _trajectories(plan, start.z, draws, configs, backbone)
-            scores = [_evaluate(layout, track.attention)[0]
-                      for track in tracks]
-            cells[i, j] = [_record(name, seed, label, gcfg, tracks[k].curve,
+            curves: list[list[LossBreakdown]] = [[] for _ in configs]
+            for losses, _, z in _trajectories(plan, start.z, draws, configs,
+                                              backbone):
+                for curve, step in zip(curves, losses):
+                    curve += step
+            scores = [_evaluate(layout, attn)[0]
+                      for attn in _attention(plan, z)]
+            cells[i, j] = [_record(name, seed, label, gcfg, curves[k],
                                    scores[k])
                            for (label, gcfg), k in zip(groups, items)]
     per_group = zip(*(cells[key] for key in sorted(cells)))
@@ -405,5 +406,5 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         for arm in ARMS
     }
     return BenchReport(config=cfg, backbone=backbone, seeds=seeds,
-                       arms=ARMS, tau=DEFAULT_TAU, records=records,
+                       arms=ARMS, tau=TAU, records=records,
                        aggregates=aggregates, gamma_sweep=sweep)

@@ -40,7 +40,6 @@ from .backbone import (
     embed_tokens,
     expected_latent_rms,
     init_latent,
-    value_matrix,
 )
 # The trajectory engine below inlines these two; they stay attributes of this
 # module because perfbench/tracing.py rebinds them here.
@@ -356,7 +355,7 @@ class _Plan:
     tokens: TokenSet
     proj: ProjectionSet
     masks: tuple[np.ndarray, ...]
-    keys: np.ndarray  # (n, d): E @ W_k, as cross_attention builds it
+    keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
     sel: np.ndarray  # (n, k) phrase selector, column-major
     flats: np.ndarray  # (k, q) box masks
     pads: tuple[np.ndarray, np.ndarray]  # SoT and EoT columns of eye(n)
@@ -675,16 +674,6 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     return live, zr, losses
 
 
-@dataclass(frozen=True)
-class _Track:
-    """One item of a stacked trajectory."""
-
-    curve: list[LossBreakdown]  # every iteration's breakdown, in order
-    steps: list[StepRecord]  # empty unless kept
-    z: np.ndarray  # the final latent
-    attention: np.ndarray  # (q, n), at the final latent
-
-
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
                  ) -> Iterator[np.ndarray]:
     """Each timestep's noise draw, first timestep first, as ``denoise_step``
@@ -700,18 +689,21 @@ def _noise_draws(backbone: BackboneConfig, rng_seed: int
 
 def _trajectories(plan: _Plan, z0: np.ndarray,
                   draws: Iterable[np.ndarray],
-                  cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig,
-                  keep_steps: bool = False) -> list[_Track]:
-    """Run one trajectory per config as one stack of latents.
+                  cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig
+                  ) -> Iterator[tuple[list[list[LossBreakdown]], np.ndarray,
+                                      np.ndarray]]:
+    """Run one trajectory per config as one stack of latents, yielding after
+    each timestep's denoise.
 
     The items share the plan, the start latent ``z0``, (q, d_z), and each
     timestep's (q, d_z) noise draw, taken in order from ``draws``
     (``_noise_draws`` of the run seed); ``gamma``, ``alpha``,
     ``lac_normalize`` and ``guided_steps`` may differ, while the guided
-    items share ``beta``, ``detach_norms`` and ``iterations_per_step``. Each item is
-    bit-identical to its own run. ``keep_steps`` keeps each timestep's
-    ``StepRecord``; without it only the loss curve and the final latent and
-    attention are kept.
+    items share ``beta``, ``detach_norms`` and ``iterations_per_step``. Each
+    item is bit-identical to its own run. Each yield is ``(losses,
+    attention, z)``: every item's loss breakdowns of the timestep, the
+    (B, q, n) attention the denoise read, a fresh array, and the stack
+    (B, q, d_z) after the denoise, which the next timestep changes in place.
     """
     for cfg in cfgs:
         if cfg.guided_steps > backbone.total_steps:
@@ -719,21 +711,20 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
                 f"guided_steps={cfg.guided_steps} exceeds the "
                 f"{backbone.total_steps}-step trajectory")
     rho = backbone.rho
-    e_v = value_matrix(plan.tokens, plan.proj, backbone.d_z)
+    e_v = plan.keys
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
     # The stack and its workspace: the guided updates, the projections, the
     # denoise and the noise write into them in place, the same operations
     # as fresh arrays without allocating.
     z = np.repeat(z0[None], len(cfgs), axis=0)
     work = _Workspace.like(z)
-    curves: list[list[LossBreakdown]] = [[] for _ in cfgs]
-    steps: list[list[StepRecord]] = [[] for _ in cfgs]
 
-    # A latent that overflows raises the error below instead of warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for index, draw in zip(range(backbone.total_steps), draws,
-                               strict=True):
-            t = backbone.total_steps - index
+    for index, draw in zip(range(backbone.total_steps), draws, strict=True):
+        t = backbone.total_steps - index
+        # A latent that overflows raises the error below instead of
+        # warnings. The state is set per timestep, so that it never spans
+        # a yield and leaks into the caller.
+        with np.errstate(over="ignore", invalid="ignore"):
             live, z_live, losses = _guided_step(z, index, plan, cfgs, work)
             if live:
                 z[live] = z_live
@@ -752,21 +743,12 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             # not finite gets a sigma that is not finite, and its noise
             # carries that into z.
             finite = np.isfinite(z).all(axis=(1, 2))
-            if not finite.all():
-                bad = cfgs[int(np.argmin(finite))]
-                raise ContractError(
-                    f"latent turned non-finite at timestep {index} "
-                    f"(t={t}); gamma={bad.gamma:g} is too large")
-            for i in range(len(cfgs)):
-                curves[i] += losses[i]
-                if keep_steps:
-                    steps[i].append(StepRecord(
-                        losses=tuple(losses[i]), attention=attn[i],
-                        z_after=z[i].copy()))  # z changes in place
-
-    attn = _attention(plan, z, work)
-    return [_Track(curve=curves[i], steps=steps[i], z=z[i], attention=attn[i])
-            for i in range(len(cfgs))]
+        if not finite.all():
+            bad = cfgs[int(np.argmin(finite))]
+            raise ContractError(
+                f"latent turned non-finite at timestep {index} "
+                f"(t={t}); gamma={bad.gamma:g} is too large")
+        yield losses, attn, z
 
 
 def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
@@ -783,12 +765,15 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     one map per token, SoT first and EoT last.
     """
     plan, start = _setup(layout, backbone, seeds)
-    track, = _trajectories(plan, start.z,
-                           _noise_draws(backbone, start.rng_seed), [cfg],
-                           backbone, keep_steps=True)
+    steps = []
+    for losses, attn, z in _trajectories(
+            plan, start.z, _noise_draws(backbone, start.rng_seed), [cfg],
+            backbone):
+        steps.append(StepRecord(losses=tuple(losses[0]), attention=attn[0],
+                                z_after=z[0].copy()))  # z changes in place
     return GuidedRun(layout=layout, config=cfg, backbone=backbone,
-                     tokens=plan.tokens, steps=tuple(track.steps),
-                     final_z=track.z, final_attention=track.attention)
+                     tokens=plan.tokens, steps=tuple(steps), final_z=z[0],
+                     final_attention=_attention(plan, z)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_denoise_deterministic_with_noise():
 
 def test_denoise_contract_errors():
     tokens, proj, state, attn = _setup()
-    done = LatentState(z=state.z, t=0, total_steps=CFG.total_steps, rng_seed=0)
+    done = LatentState(z=state.z, t=0, rng_seed=0)
     with pytest.raises(ContractError):
         denoise_step(done, attn, tokens, proj, 0.1, 0.0)
     with pytest.raises(ContractError):
@@ -193,8 +193,14 @@ def test_backbone_dynamics_are_constants_not_fields():
 
 
 def test_latent_state_timestep_bounds():
-    with pytest.raises(ContractError):
-        LatentState(z=np.zeros((256, CFG.d_z)), t=52, total_steps=51, rng_seed=0)
+    # The countdown is bounded by the trajectory length, a class constant.
+    assert [f.name for f in fields(LatentState)] == ["z", "t", "rng_seed"]
+    z = np.zeros((256, CFG.d_z))
+    for t in (0, CFG.total_steps):
+        assert LatentState(z=z, t=t, rng_seed=0).t == t
+    for t in (-1, CFG.total_steps + 1):
+        with pytest.raises(ContractError, match="outside"):
+            LatentState(z=z, t=t, rng_seed=0)
 
 
 def test_noise_schedule_decays_linearly_to_zero():

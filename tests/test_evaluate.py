@@ -12,7 +12,7 @@ from loco.evaluate import (ARMS, Detection, _evaluate, _record,
                            aggregate_records, arm_config, cross_mass_probe, decode_labels,
                            detect_regions, iou, layout_metrics, run_benchmark)
 from loco.guidance import (GuidanceConfig, _loss_and_grad, _trajectories,
-                           guided_sample)
+                           guided_sample, object_maps)
 from loco.layout import BoundingBox, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 
@@ -58,38 +58,16 @@ def test_decode_single_dominant_object_matches_mask():
     inside = mask.reshape(-1).astype(bool)
     values[inside, 1] = 0.9
     values /= values.sum(axis=1, keepdims=True)
-    labels = decode_labels(values, layout, tau=0.5)
+    labels = decode_labels(values, layout)
     assert np.array_equal((labels == 1).astype(np.uint8), mask)
-
-
-def test_decode_tau_bounds():
-    layout = single_object_layout()
-    values = np.full((256, 4), 0.25)
-    with pytest.raises(ContractError):
-        decode_labels(values, layout, tau=0.0)
-    with pytest.raises(ContractError):
-        decode_labels(values, layout, tau=1.0)
-
-
-def test_decode_tau_near_one_keeps_only_peaks():
-    rng = np.random.default_rng(0)
-    values = rng.dirichlet(np.ones(5), size=256)
-    labels = decode_labels(values, LAYOUT, tau=1.0 - 1e-9)
-    assert np.count_nonzero(labels) <= LAYOUT.k
-
-
-def test_decode_tau_near_zero_has_no_background():
-    rng = np.random.default_rng(1)
-    values = rng.dirichlet(np.ones(5), size=256)
-    labels = decode_labels(values, LAYOUT, tau=1e-12)
-    assert np.count_nonzero(labels) == 256
 
 
 def test_decode_matches_per_cell_argmax_oracle():
     rng = np.random.default_rng(2)
     values = rng.dirichlet(np.ones(5), size=256)
     tau = 0.3
-    labels = decode_labels(values, LAYOUT, tau=tau)
+    assert evaluate.TAU == tau
+    labels = decode_labels(values, LAYOUT)
 
     spans = [list(p.span) for p in LAYOUT.phrases]
     maps = np.stack([values[:, s].mean(axis=1) for s in spans])
@@ -279,6 +257,35 @@ def test_cross_box_mass_rows():
     assert cross[0, 1] < 0.05 and cross[1, 0] < 0.05
 
 
+def test_cross_box_mass_ties_the_per_pair_formula():
+    """The one-product cross mass has the bits of the per-pair sums, on maps
+    with exact zeros and on a phrase whose token column is all zero."""
+    layout = parse_layout("""{
+      "prompt": "red cup left of hat near dog",
+      "objects": [
+        {"phrase": "red cup", "box": [0.0, 0.0, 0.5, 0.75]},
+        {"phrase": "hat", "box": [0.25, 0.125, 0.875, 0.5]},
+        {"phrase": "dog", "box": [0.5, 0.25, 1.0, 1.0]}
+      ]
+    }""")
+    hat = layout.phrases[1].span[0]
+    flats = [rasterize_box(b).reshape(-1).astype(np.float64)
+             for b in layout.boxes]
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        attn = rng.standard_normal((256, 9)) ** 2 * 10.0 ** rng.integers(
+            -8, 8, (256, 9))
+        attn[rng.random(attn.shape) < 0.3] = 0.0
+        attn[:, hat] = 0.0
+        maps = object_maps(attn, layout)
+        want = np.array([[np.sum(maps[i] * flats[j])
+                          / max(np.sum(maps[i]), 1e-12) for j in range(3)]
+                         for i in range(3)])
+        got = np.array(layout_metrics([], layout, attn).cross_box_mass)
+        assert got.tobytes() == want.tobytes()
+        assert not got[1].any()
+
+
 def test_arm_configs():
     cfg = GuidanceConfig()
     assert arm_config(cfg, "none").guided_steps == 0
@@ -360,9 +367,9 @@ def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
     the one a solo ``guided_sample`` run of its config gives."""
     stacks = []
 
-    def recording(plan, z0, draws, cfgs, backbone, keep_steps=False):
+    def recording(plan, z0, draws, cfgs, backbone):
         stacks.append(list(cfgs))
-        return _trajectories(plan, z0, draws, cfgs, backbone, keep_steps)
+        yield from _trajectories(plan, z0, draws, cfgs, backbone)
 
     monkeypatch.setattr(evaluate, "_trajectories", recording)
     suite, seeds, sweep = _mini_suite(), [0, 1], [5.0, 30.0]

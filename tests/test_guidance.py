@@ -3,6 +3,7 @@
 import math
 import weakref
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from loco.backbone import (BackboneConfig, Seeds,
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (FD_STEP, GuidanceConfig, _attention, _breakdowns,
-                           _check_instance, _loss_and_grad, _noise_draws,
-                           _setup, _trajectories,
+from loco.guidance import (FD_STEP, GuidanceConfig, StepRecord, _attention,
+                           _breakdowns, _check_instance, _loss_and_grad,
+                           _noise_draws, _setup, _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, loss_norms, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
@@ -360,10 +361,45 @@ def _oracle_run(layout, cfg, seed):
     return latents, curve
 
 
+class Track(NamedTuple):
+    """One item of a stacked trajectory, collected from its yields."""
+
+    curve: list  # every iteration's breakdown, in order
+    steps: list  # one StepRecord per timestep
+    z: np.ndarray  # the final latent
+    attention: np.ndarray  # (q, n), at the final latent
+
+
 def _stacked_run(layout, cfgs, seed):
+    """Each item's track, kept from the yields as ``guided_sample`` keeps
+    its run."""
     plan, start = _setup(layout, BCFG, seed)
-    return _trajectories(plan, start.z, _noise_draws(BCFG, start.rng_seed),
-                         cfgs, BCFG, keep_steps=True)
+    steps = [[] for _ in cfgs]
+    for losses, attn, z in _trajectories(
+            plan, start.z, _noise_draws(BCFG, start.rng_seed), cfgs, BCFG):
+        for i, item in enumerate(steps):
+            item.append(StepRecord(losses=tuple(losses[i]), attention=attn[i],
+                                   z_after=z[i].copy()))
+    attn = _attention(plan, z)
+    return [Track(curve=[bd for step in item for bd in step.losses],
+                  steps=item, z=z[i], attention=attn[i])
+            for i, item in enumerate(steps)]
+
+
+def test_trajectory_leaves_the_callers_error_state_alone():
+    """The engine ignores overflow inside each timestep only: the caller's
+    numpy error state holds in its own loop body, and after it closes a
+    half-consumed trajectory."""
+    plan, start = _setup(LAYOUT, BCFG, 0)
+    with np.errstate(over="raise", invalid="raise"):
+        caller = np.geterr()
+        steps = _trajectories(plan, start.z, _noise_draws(BCFG, start.rng_seed),
+                              [GuidanceConfig(), GuidanceConfig(gamma=5.0)],
+                              BCFG)
+        for index, _ in zip(range(12), steps):
+            assert np.geterr() == caller, index
+        steps.close()
+        assert np.geterr() == caller
 
 
 def test_guided_steps_zero_matches_plain_backbone_loop():
