@@ -29,8 +29,10 @@ def load_suite(directory: Path | str) -> list[tuple[str, Layout]]:
     The first malformed file aborts the load with its name in the error.
     """
     directory = Path(directory)
-    if not directory.is_dir():
+    if not directory.exists():
         raise ContractError(f"suite directory {directory} does not exist")
+    if not directory.is_dir():
+        raise ContractError(f"suite path {directory} is not a directory")
     suite = []
     for path in sorted(directory.glob("*.json")):
         try:

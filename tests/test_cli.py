@@ -343,6 +343,19 @@ def test_bench_empty_suite_dir_fails(tmp_path, capsys):
     assert "no layouts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, message", [
+    ("missing", "does not exist"),
+    (bundled_suite_dir() / "pair_cat_dog.json", "is not a directory"),
+])
+def test_bench_suite_path_that_is_no_directory_fails(tmp_path, capsys, path,
+                                                     message):
+    suite = tmp_path / path
+    assert main(["bench", "--layout", str(suite), "--out",
+                 str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and f"{suite} {message}" in err
+
+
 def test_bench_names_malformed_file(tmp_path, capsys):
     suite_dir = tmp_path / "suite"
     suite_dir.mkdir()

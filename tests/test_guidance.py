@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loco.backbone import (BackboneConfig, Seeds,
                            build_projections, cross_attention, denoise_step,
@@ -22,9 +24,9 @@ from loco.guidance import (FD_STEP, GuidanceConfig, StepRecord, _attention,
                            lac_loss, loco_loss, loss_norms, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
                            target_maps, update_latent)
-from loco.layout import Phrase, parse_layout, rasterize_box
+from loco.layout import Phrase, layout_from_dict, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
-from oracles import central_difference
+from oracles import central_difference, rel_error
 
 BCFG = BackboneConfig()
 
@@ -45,6 +47,29 @@ def make_attention(values):
 
 def uniform_attention(n, q=256):
     return np.full((q, n), 1.0 / n)
+
+
+# The closed form and the tape compute one function in different operation
+# orders. They tie to these tolerances: gradients relative to their largest
+# entry, attention, loss terms and latents absolute.
+GRAD_RTOL = 1e-12
+VALUE_ATOL = 1e-12
+
+
+def assert_values_close(got, want):
+    """Arrays or floats equal to ``VALUE_ATOL``, in shape and value."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= VALUE_ATOL
+
+
+def assert_breakdowns_close(got, want):
+    """Two loss curves equal to ``VALUE_ATOL``, term by term."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_values_close([a.lac, a.ptc, a.total], [b.lac, b.ptc, b.total])
+        assert_values_close(a.per_object_inbox_fraction,
+                            b.per_object_inbox_fraction)
 
 
 def test_config_validation():
@@ -90,9 +115,7 @@ def test_object_attention_multi_token_mean():
     assert np.allclose(got_same.value[:, 0], values[:, 1], atol=1e-15)
 
 
-def test_object_maps_match_tape_maps_bit_for_bit():
-    # A 3-token span: an elementwise mean over the columns differs from the
-    # selector product in the last bit, the selector product does not.
+def test_object_maps_match_tape_maps():
     rng = np.random.default_rng(12)
     values = rng.dirichlet(np.ones(8), size=256)
     attn = make_attention(values)
@@ -106,7 +129,7 @@ def test_object_maps_match_tape_maps_bit_for_bit():
     assert maps.shape == (2, 256)
     for i, phrase in enumerate(layout.phrases):
         tape_map = object_attention(attn, phrase).value[:, 0]
-        assert np.array_equal(maps[i], tape_map)
+        assert_values_close(maps[i], tape_map)
 
 
 def _single_object_layout(box):
@@ -407,13 +430,13 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
     want, curve = _oracle_run(LAYOUT, cfg, 6)
     assert curve == []
     run = guided_sample(LAYOUT, cfg, BCFG, 6)
-    assert np.array_equal(run.final_z, want[-1])
+    assert_values_close(run.final_z, want[-1])
     # The same config as one item of a stack whose other items are guided.
     stack = [GuidanceConfig(), cfg, arm_config(GuidanceConfig(), "lac_wo_norm")]
     track = _stacked_run(LAYOUT, stack, 6)[1]
     assert track.curve == [] and len(track.steps) == len(want)
     for step, z in zip(track.steps, want):
-        assert np.array_equal(step.z_after, z)
+        assert_values_close(step.z_after, z)
 
 
 def test_guided_step_leaves_its_input_stack_unchanged():
@@ -452,14 +475,14 @@ def test_two_trajectory_calls_share_no_memory():
 
 
 def test_kept_snapshots_hold_their_own_latents():
-    """The stack is updated in place; each step's snapshot still equals the
+    """The stack is updated in place; each step's snapshot still ties the
     oracle loop's latent after the run ends, and shares no memory."""
     cfg = GuidanceConfig(guided_steps=2)
     run = guided_sample(LAYOUT, cfg, BCFG, 4)
     latents, curve = _oracle_run(LAYOUT, cfg, 4)
-    assert run.loss_curve() == curve
+    assert_breakdowns_close(run.loss_curve(), curve)
     for step, z in zip(run.steps, latents, strict=True):
-        assert step.z_after.tobytes() == z.tobytes()
+        assert_values_close(step.z_after, z)
     arrays = [step.z_after for step in run.steps] + [run.final_z]
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
@@ -493,7 +516,12 @@ def test_lone_run_draws_its_noise_lazily(monkeypatch):
 
 
 def test_row_reductions_tie_numpy_bit_for_bit():
+    """``_row_max`` gives numpy's bits. ``_row_sum`` adds in another order:
+    a row with an infinite or NaN entry sums to the same infinity or NaN,
+    and a finite row to within n ulps of its summed magnitudes, unless
+    those overflow, where the order decides whether the sum does."""
     rng = np.random.default_rng(0)
+    eps = np.finfo(np.float64).eps
     for n in [*range(1, 41), *range(127, 301)]:
         x = rng.standard_normal((2, 6, n)) * 10.0 ** rng.integers(
             -300, 300, (2, 6, n))
@@ -510,13 +538,19 @@ def test_row_reductions_tie_numpy_bit_for_bit():
         # so this row is checked for the sum only.
         zeros = rng.choice([0.0, -0.0], (1, n))
         with np.errstate(over="ignore", invalid="ignore"):
-            for ours, theirs in ((guidance._row_max, np.max),
-                                 (guidance._row_sum, np.sum)):
-                got, want = ours(x), theirs(x, axis=-1, keepdims=True)
-                assert got.shape == want.shape, (ours.__name__, n)
-                assert got.tobytes() == want.tobytes(), (ours.__name__, n)
-            assert guidance._row_sum(zeros).tobytes() == \
-                zeros.sum(axis=-1, keepdims=True).tobytes()
+            got, want = guidance._row_max(x), np.max(x, axis=-1, keepdims=True)
+            assert got.shape == want.shape, n
+            assert got.tobytes() == want.tobytes(), n
+            for rows in (x, zeros):
+                got, want = guidance._row_sum(rows), np.sum(rows, axis=-1,
+                                                            keepdims=True)
+                assert got.shape == want.shape, n
+                finite = np.isfinite(rows).all(axis=-1, keepdims=True)
+                assert np.array_equal(got[~finite], want[~finite],
+                                      equal_nan=True), n
+                mag = np.abs(rows).sum(axis=-1, keepdims=True)
+                near = np.abs(got - want) <= n * eps * mag
+                assert (near | ~np.isfinite(mag))[finite].all(), n
 
 
 def _arms(**flags):
@@ -533,9 +567,10 @@ def test_stacked_guided_items_match_the_oracle_loop():
         tracks = _stacked_run(layout, stack, 2)
         for cfg, track in zip(stack, tracks):
             latents, curve = _oracle_run(layout, cfg, 2)
-            assert track.curve == curve and len(track.steps) == len(latents)
+            assert_breakdowns_close(track.curve, curve)
+            assert len(track.steps) == len(latents)
             for step, z in zip(track.steps, latents):
-                assert np.array_equal(step.z_after, z)
+                assert_values_close(step.z_after, z)
 
 
 @pytest.mark.parametrize("flags", [dict(beta=0.5), dict(detach_norms=True),
@@ -665,9 +700,9 @@ def test_gradient_check_negative_control(monkeypatch):
 
 
 # (resolution, content_words, n_objects, detach_norms). With d_z = 8 and
-# 32 coordinates per chunk, 5x5 (200 coordinates) ends in a partial chunk
-# of 8; 6x6, 8x8 and 16x16 fill their last chunk. At 1x1 (q = 1) each
-# perturbed row is a whole latent.
+# 64 coordinates per chunk, 5x5 (200 coordinates) and 6x6 (288) end in
+# partial chunks of 8 and 32; 8x8 and 16x16 fill their last chunk. At 1x1
+# (q = 1) each perturbed row is a whole latent.
 _FD_CASES = [(r, w, o, d) for r in (6, 8, 16) for w, o in ((2, 2), (4, 2), (6, 1))
              for d in (False, True)]
 _FD_CASES += [(r, 4, 2, d) for r in (1, 5) for d in (False, True)]
@@ -699,10 +734,10 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
     assert result.analytic.tobytes() == grads[0].tobytes()
 
 
-@pytest.mark.parametrize("resolution,calls", [(8, 17), (6, 10)])
+@pytest.mark.parametrize("resolution,calls", [(8, 9), (6, 6)])
 def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
-    """One gradient call, then one forward call per 32 coordinates: 1 +
-    ceil(q * d_z / 32), not one call per perturbed latent."""
+    """One gradient call, then one forward call per 64 coordinates: 1 +
+    ceil(q * d_z / 64), not one call per perturbed latent."""
     seen = []
 
     def counting(*args, **kwargs):
@@ -712,7 +747,7 @@ def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
     monkeypatch.setattr(guidance, "_loss_and_grad", counting)
     gradient_check(3, resolution=resolution)
     coords = resolution * resolution * 8
-    assert len(seen) == calls == 1 + math.ceil(coords / 32)
+    assert len(seen) == calls == 1 + math.ceil(coords / 64)
     assert sum(seen) == 1 + 2 * coords
 
 
@@ -755,7 +790,7 @@ def test_non_finite_latent_raises_naming_the_timestep():
 
 
 # ---------------------------------------------------------------------------
-# The closed-form gradient of the guided loop against the tape, bit for bit.
+# The closed-form gradient of the guided loop against the tape.
 
 
 def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
@@ -766,18 +801,18 @@ def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
     return tape.backward(loss)[leaf], breakdown, attn.value
 
 
-def _assert_tied(plan, z, layout, cfgs, **overrides):
-    """Each item's gradient, breakdown and attention in a stacked call equal
-    the tape's on that item's latent exactly."""
+def _assert_tied(plan, z, layout, cfgs, grad_rtol=GRAD_RTOL, **overrides):
+    """Each item's gradient, breakdown and attention in a stacked call tie
+    the tape's on that item's latent."""
     values = _attention(plan, z)
     grads, terms = _loss_and_grad(plan, values, cfgs, **overrides)
     breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
         want = _tape_loss_and_grad(plan, item, layout, cfg, **overrides)
-        assert np.array_equal(grad, want[0])
-        assert breakdown == want[1]
-        assert np.array_equal(value, want[2])
+        assert rel_error(grad, want[0]) <= grad_rtol
+        assert_breakdowns_close([breakdown], [want[1]])
+        assert_values_close(value, want[2])
     forward = _loss_and_grad(plan, values, cfgs, with_grad=False,
                              **overrides)[1]
     assert _breakdowns(forward) == breakdowns
@@ -860,28 +895,72 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
                      MIXED_NORMALIZE * 2, **overrides)
 
 
-def test_pad_maps_are_the_one_hot_products_bit_for_bit():
-    """``_loss_and_grad`` takes the SoT and EoT maps as column slices, where
-    the tape multiplies by one-hot columns. On nonnegative stacks with
-    exact zeros the two give the same bits, and at latents large enough
-    for the softmax to underflow to exact zeros the loss still ties the
-    tape."""
-    rng = np.random.default_rng(0)
-    for n in (3, 4, 5, 9, 16, 17):
-        a = rng.random((6, 64, n))
-        a[rng.random(a.shape) < 0.4] = 0.0
-        a[0, 0] = 0.0
-        a[1, 1] = 0.0
-        a[1, 1, -1] = 1.0
-        a[2] = a[2] / a[2].sum(axis=-1, keepdims=True).clip(1e-300)
-        a[3] *= 2.0 ** -1070  # subnormal entries
-        for col, got in zip(guidance._pad_columns(n),
-                            (a[..., 0], a[..., -1])):
-            assert ((a @ col)[..., 0]).tobytes() == got.tobytes()
+@st.composite
+def _tie_problems(draw):
+    """A layout of 1 to 4 objects whose phrases span 1 to 3 tokens, with
+    filler words between them, and a stack of 1 to 3 configs that share
+    ``beta`` and ``detach_norms``."""
+    words, objects = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        words += ["and"] * draw(st.integers(0, 1))
+        phrase = [f"w{len(words) + j}" for j in range(draw(st.integers(1, 3)))]
+        words += phrase
+        x0, y0 = draw(st.integers(0, 13)), draw(st.integers(0, 13))
+        box = [x0, y0, draw(st.integers(x0 + 2, 16)),
+               draw(st.integers(y0 + 2, 16))]
+        objects.append({"phrase": " ".join(phrase),
+                        "box": [v / 16 for v in box]})
+    words += ["and"] * draw(st.integers(0, 1))
+    layout = layout_from_dict({"prompt": " ".join(words), "objects": objects})
+    shared = dict(beta=draw(st.floats(0.0, 1.0)),
+                  detach_norms=draw(st.booleans()))
+    cfgs = [GuidanceConfig(alpha=draw(st.floats(0.0, 1.0)),
+                           gamma=draw(st.floats(1.0, 300.0)),
+                           lac_normalize=draw(st.booleans()), **shared)
+            for _ in range(draw(st.integers(1, 3)))]
+    return layout, cfgs
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=_tie_problems(), seed=st.integers(0, 2 ** 16),
+       with_target=st.booleans(), with_frozen=st.booleans())
+def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
+        problem, seed, with_target, with_frozen):
+    """The tie above, on drawn layouts and configs: at the start latent and
+    after one guided update at each item's gamma, with the target and the
+    divisors optionally held at the start latent's values."""
+    layout, cfgs = problem
+    plan, start = _setup(layout, BCFG, seed)
+    values = _attention(plan, start.z[None])[0]
+    overrides = {}
+    if with_target:
+        overrides["target"] = target_maps(values, layout, plan.masks)
+    if with_frozen:
+        overrides["frozen_norms"] = loss_norms(values, layout)
+    z = np.repeat(start.z[None], len(cfgs), axis=0)
+    grads = _assert_tied(plan, z, layout, cfgs, **overrides)
+    step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
+    _assert_tied(plan, z - step[:, None, None] * grads, layout, cfgs,
+                 **overrides)
+
+
+def test_loss_ties_the_tape_where_the_softmax_underflows():
+    """At latents large enough for the softmax to underflow to exact zeros,
+    the pad maps and so their peaks sit on zeros, and the loss still ties
+    the tape.
+
+    Such latents give logits of magnitude L in the thousands. Either order
+    of the two projections moves a logit by some ulps of L, which the
+    softmax turns into a relative change of the attention and so of the
+    gradient; the gradients tie to 16 ulps of L.
+    """
     plan, start = _setup(LAYOUT, BCFG, 0)
     z = np.stack([start.z * 3000.0, start.z * 1000.0, start.z])
     values = _attention(plan, z)
     for pad in (values[:2, :, 0], values[:2, :, -1]):
         assert (pad == 0.0).sum() > 100
+    logits = np.abs(z @ plan.fold).max()
+    assert logits > 1e3
+    rtol = max(GRAD_RTOL, 16 * np.finfo(np.float64).eps * logits)
     for cfgs in TIE_STACKS.values():
-        _assert_tied(plan, z, LAYOUT, cfgs)
+        _assert_tied(plan, z, LAYOUT, cfgs, grad_rtol=rtol)
