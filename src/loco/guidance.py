@@ -441,13 +441,6 @@ def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _peak(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each last-axis row's max entry (the first), (..., 1),
-    and the entry, (...)."""
-    idx = x.argmax(axis=-1)[..., None]
-    return idx, np.take_along_axis(x, idx, axis=-1)[..., 0]
-
-
 # A stack's loss terms, one entry per item: lac, ptc and total, (B,), and
 # each object's in-box share of its attention mass, (B, k).
 _Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -500,7 +493,8 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     scaled = np.ones((b, k + 2), dtype=bool)
     scaled[:, :k] = np.array([[c.lac_normalize] for c in cfgs])
     if frozen_norms is None:
-        peak, top = _peak(rows)
+        peak = rows.argmax(axis=-1)[..., None]  # the first max entry
+        top = np.take_along_axis(rows, peak, axis=-1)[..., 0]
         won = top >= EPS
         norms = np.where(won, top, EPS)
     else:

@@ -346,7 +346,7 @@ def test_bench_empty_suite_dir_fails(tmp_path, capsys):
 @pytest.mark.parametrize("path, message", [
     ("missing", "does not exist"),
     (bundled_suite_dir() / "pair_cat_dog.json", "is not a directory"),
-])
+], ids=["missing", "file"])
 def test_bench_suite_path_that_is_no_directory_fails(tmp_path, capsys, path,
                                                      message):
     suite = tmp_path / path
