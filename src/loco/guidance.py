@@ -31,7 +31,6 @@ from . import diffmath as dm
 from .backbone import (
     BackboneConfig,
     LatentState,
-    ProjectionSet,
     Seeds,
     TokenSet,
     _check_fields,
@@ -318,7 +317,8 @@ def update_latent(state: LatentState, grad: np.ndarray, gamma: float,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One timestep of a run: inner-iteration losses and snapshots.
+    """One timestep of a run: its inner-iteration losses and the attention
+    its denoise read.
 
     Step i of a run is its i-th timestep, guided iff it has losses, and
     leaves the latent at t = total_steps - 1 - i.
@@ -326,7 +326,6 @@ class StepRecord:
 
     losses: tuple[LossBreakdown, ...]
     attention: np.ndarray  # (q, n) values after updates, before the denoise
-    z_after: np.ndarray  # (q, d_z)
 
 
 @dataclass(frozen=True)
@@ -345,11 +344,10 @@ class GuidedRun:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A run's constants: the prompt, projections and box masks, plus the
-    loss operands built from them once, so an iteration only touches z."""
+    """A run's constants: the prompt and box masks, plus the operands built
+    from them and the projections once, so an iteration only touches z."""
 
     tokens: TokenSet
-    proj: ProjectionSet
     masks: tuple[np.ndarray, ...]
     keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
     fold: np.ndarray  # (d_z, n): W_q K^T / sqrt(d), so logits = z @ fold
@@ -380,7 +378,7 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     # the two projections fold into one (d_z, n) map.
     fold = (proj.w_q @ keys.T) / sqrt(proj.w_q.shape[1])
     plan = _Plan(
-        tokens=tokens, proj=proj, masks=masks, keys=keys, fold=fold,
+        tokens=tokens, masks=masks, keys=keys, fold=fold,
         fold_t=np.ascontiguousarray(fold.T),
         sel=_phrase_selector(layout.phrases, tokens.n),
         flats=_flat_masks(masks, backbone.q))
@@ -685,17 +683,17 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     ``cfg.iterations_per_step`` times before one denoise; the remaining
     timesteps denoise without guidance. ``seeds`` is the nonnegative
     master seed; ``Seeds.from_master`` draws the run's sub-seeds from it.
-    The run holds one ``StepRecord`` per timestep, the final latent
-    ``final_z``, (q, d_z), and its attention ``final_attention``, (q, n):
-    one map per token, SoT first and EoT last.
+    The run holds one ``StepRecord`` per timestep, its loss breakdowns and
+    the attention its denoise read; of the latents it keeps only the final
+    one, ``final_z``, (q, d_z), and its attention ``final_attention``,
+    (q, n): one map per token, SoT first and EoT last.
     """
     plan, start = _setup(layout, backbone, seeds)
     steps = []
     for losses, attn, z in _trajectories(
             plan, start.z, _noise_draws(backbone, start.rng_seed), [cfg],
             backbone):
-        steps.append(StepRecord(losses=tuple(losses[0]), attention=attn[0],
-                                z_after=z[0].copy()))  # z changes in place
+        steps.append(StepRecord(losses=tuple(losses[0]), attention=attn[0]))
     return GuidedRun(layout=layout, config=cfg, backbone=backbone,
                      tokens=plan.tokens, steps=tuple(steps), final_z=z[0],
                      final_attention=_attention(plan, z)[0])

@@ -21,7 +21,7 @@ from loco.guidance import (GuidanceConfig, _attention, _breakdowns,
                            ptc_maps, update_latent)
 from loco.layout import parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
-from test_guidance import (assert_values_close, make_attention,
+from test_guidance import (assert_values_close, make_attention, projections,
                            uniform_attention)
 
 BCFG = BackboneConfig()
@@ -115,15 +115,16 @@ def test_criterion_3_descent():
         descended += recomputed < before
 
         # The same step on the tape.
+        proj = projections(trial)
         tape = Tape()
         z = tape.leaf(state.z)
-        attn = cross_attention(tape, z, plan.tokens, plan.proj)
+        attn = cross_attention(tape, z, plan.tokens, proj)
         loss, _ = loco_loss(attn, layout, masks, GCFG)
         grad = tape.backward(loss)[z]
         tape_after = update_latent(state, grad, 1.0, 0.1)
         tape2 = Tape()
         attn2 = cross_attention(tape2, tape2.constant(tape_after.z),
-                                plan.tokens, plan.proj)
+                                plan.tokens, proj)
         tape_recomputed, _ = loco_loss(attn2, layout, masks, GCFG)
         assert_values_close(before, float(loss.value))
         assert_values_close(after[0], tape_after.z)

@@ -17,7 +17,7 @@ from loco.backbone import (BackboneConfig, Seeds,
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (FD_STEP, GuidanceConfig, StepRecord, _attention,
+from loco.guidance import (EPS, FD_STEP, GuidanceConfig, _attention,
                            _breakdowns, _check_instance, _loss_and_grad,
                            _noise_draws, _setup, _trajectories,
                            gradient_check, guided_sample,
@@ -384,25 +384,32 @@ def _oracle_run(layout, cfg, seed):
     return latents, curve
 
 
+class Step(NamedTuple):
+    """One timestep of one item of a stacked trajectory, from its yield."""
+
+    losses: tuple  # the timestep's breakdowns
+    attention: np.ndarray  # (q, n), the attention the denoise read
+    z: np.ndarray  # (q, d_z), a copy of the latent after the denoise
+
+
 class Track(NamedTuple):
     """One item of a stacked trajectory, collected from its yields."""
 
     curve: list  # every iteration's breakdown, in order
-    steps: list  # one StepRecord per timestep
+    steps: list  # one Step per timestep
     z: np.ndarray  # the final latent
     attention: np.ndarray  # (q, n), at the final latent
 
 
 def _stacked_run(layout, cfgs, seed):
-    """Each item's track, kept from the yields as ``guided_sample`` keeps
-    its run."""
+    """Each item's track, kept from the yields: what ``guided_sample`` keeps
+    of its run, plus a copy of each timestep's latent."""
     plan, start = _setup(layout, BCFG, seed)
     steps = [[] for _ in cfgs]
     for losses, attn, z in _trajectories(
             plan, start.z, _noise_draws(BCFG, start.rng_seed), cfgs, BCFG):
         for i, item in enumerate(steps):
-            item.append(StepRecord(losses=tuple(losses[i]), attention=attn[i],
-                                   z_after=z[i].copy()))
+            item.append(Step(tuple(losses[i]), attn[i], z[i].copy()))
     attn = _attention(plan, z)
     return [Track(curve=[bd for step in item for bd in step.losses],
                   steps=item, z=z[i], attention=attn[i])
@@ -436,7 +443,7 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
     track = _stacked_run(LAYOUT, stack, 6)[1]
     assert track.curve == [] and len(track.steps) == len(want)
     for step, z in zip(track.steps, want):
-        assert_values_close(step.z_after, z)
+        assert_values_close(step.z, z)
 
 
 def test_guided_step_leaves_its_input_stack_unchanged():
@@ -458,7 +465,7 @@ def _arrays(tracks):
     return [a for track in tracks
             for a in (track.z, track.attention,
                       *(x for step in track.steps
-                        for x in (step.attention, step.z_after)))]
+                        for x in (step.attention, step.z)))]
 
 
 def test_two_trajectory_calls_share_no_memory():
@@ -475,15 +482,17 @@ def test_two_trajectory_calls_share_no_memory():
 
 
 def test_kept_snapshots_hold_their_own_latents():
-    """The stack is updated in place; each step's snapshot still ties the
-    oracle loop's latent after the run ends, and shares no memory."""
+    """The stack is updated in place; after the run ends its loss curve and
+    final latent still tie the oracle loop's, and no two of the arrays the
+    run keeps share memory."""
     cfg = GuidanceConfig(guided_steps=2)
     run = guided_sample(LAYOUT, cfg, BCFG, 4)
     latents, curve = _oracle_run(LAYOUT, cfg, 4)
     assert_breakdowns_close(run.loss_curve(), curve)
-    for step, z in zip(run.steps, latents, strict=True):
-        assert_values_close(step.z_after, z)
-    arrays = [step.z_after for step in run.steps] + [run.final_z]
+    assert len(run.steps) == len(latents)
+    assert_values_close(run.final_z, latents[-1])
+    arrays = [step.attention for step in run.steps] + [run.final_z,
+                                                       run.final_attention]
     assert not any(np.shares_memory(a, b)
                    for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
@@ -570,7 +579,7 @@ def test_stacked_guided_items_match_the_oracle_loop():
             assert_breakdowns_close(track.curve, curve)
             assert len(track.steps) == len(latents)
             for step, z in zip(track.steps, latents):
-                assert_values_close(step.z_after, z)
+                assert_values_close(step.z, z)
 
 
 @pytest.mark.parametrize("flags", [dict(beta=0.5), dict(detach_norms=True),
@@ -589,7 +598,6 @@ def _assert_same_run(track, run):
     assert len(track.steps) == len(run.steps)
     for got, want in zip(track.steps, run.steps):
         assert got.losses == want.losses
-        assert np.array_equal(got.z_after, want.z_after)
         assert np.array_equal(got.attention, want.attention)
     assert np.array_equal(track.z, run.final_z)
     assert np.array_equal(track.attention, run.final_attention)
@@ -793,23 +801,30 @@ def test_non_finite_latent_raises_naming_the_timestep():
 # The closed-form gradient of the guided loop against the tape.
 
 
-def _tape_loss_and_grad(plan, z, layout, cfg, **overrides):
+def projections(seed, backbone=BCFG):
+    """The frozen projections of a run's master seed, which the tape oracle
+    reads in place of the run's folded map."""
+    return build_projections(backbone, Seeds.from_master(seed).proj)
+
+
+def _tape_loss_and_grad(plan, proj, z, layout, cfg, **overrides):
     tape = Tape()
     leaf = tape.leaf(z)
-    attn = cross_attention(tape, leaf, plan.tokens, plan.proj)
+    attn = cross_attention(tape, leaf, plan.tokens, proj)
     loss, breakdown = loco_loss(attn, layout, plan.masks, cfg, **overrides)
     return tape.backward(loss)[leaf], breakdown, attn.value
 
 
-def _assert_tied(plan, z, layout, cfgs, grad_rtol=GRAD_RTOL, **overrides):
+def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
+                 **overrides):
     """Each item's gradient, breakdown and attention in a stacked call tie
-    the tape's on that item's latent."""
+    the tape's, on projections ``proj``, on that item's latent."""
     values = _attention(plan, z)
     grads, terms = _loss_and_grad(plan, values, cfgs, **overrides)
     breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
-        want = _tape_loss_and_grad(plan, item, layout, cfg, **overrides)
+        want = _tape_loss_and_grad(plan, proj, item, layout, cfg, **overrides)
         assert rel_error(grad, want[0]) <= grad_rtol
         assert_breakdowns_close([breakdown], [want[1]])
         assert_values_close(value, want[2])
@@ -829,10 +844,11 @@ def _stack(cfg):
 def _walk_tied(layout, seed, cfgs, iterations=3):
     """Tie the two gradients along the first iterations of a guided step."""
     plan, state = _setup(layout, BCFG, seed)
+    proj = projections(seed)
     z = np.repeat(state.z[None], len(cfgs), axis=0)
     step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
     for _ in range(iterations):
-        grads = _assert_tied(plan, z, layout, cfgs)
+        grads = _assert_tied(plan, proj, z, layout, cfgs)
         z = z - step[:, None, None] * grads
 
 
@@ -877,6 +893,7 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
                   {"phrase": "star", "box": [0.4, 0.3, 1.0, 1.0]}]
     }""")
     plan, _ = _setup(layout, backbone, 11)
+    proj = projections(11, backbone)
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     values = _attention(plan, z0[None])[0]
@@ -888,10 +905,10 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
         for cfg in TIE_CONFIGS.values():
             # cfg at the base point and at a point away from it, and cfg's
             # gamma/alpha variants away from it, as one stack.
-            _assert_tied(plan, np.stack([z0, z1, z1, z1]), layout,
+            _assert_tied(plan, proj, np.stack([z0, z1, z1, z1]), layout,
                          [cfg, *_stack(cfg)], **overrides)
         # Items that differ in lac_normalize, at both points, as one stack.
-        _assert_tied(plan, np.stack([z0] * 3 + [z1] * 3), layout,
+        _assert_tied(plan, proj, np.stack([z0] * 3 + [z1] * 3), layout,
                      MIXED_NORMALIZE * 2, **overrides)
 
 
@@ -931,6 +948,7 @@ def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
     divisors optionally held at the start latent's values."""
     layout, cfgs = problem
     plan, start = _setup(layout, BCFG, seed)
+    proj = projections(seed)
     values = _attention(plan, start.z[None])[0]
     overrides = {}
     if with_target:
@@ -938,9 +956,9 @@ def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
     if with_frozen:
         overrides["frozen_norms"] = loss_norms(values, layout)
     z = np.repeat(start.z[None], len(cfgs), axis=0)
-    grads = _assert_tied(plan, z, layout, cfgs, **overrides)
+    grads = _assert_tied(plan, proj, z, layout, cfgs, **overrides)
     step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
-    _assert_tied(plan, z - step[:, None, None] * grads, layout, cfgs,
+    _assert_tied(plan, proj, z - step[:, None, None] * grads, layout, cfgs,
                  **overrides)
 
 
@@ -962,5 +980,28 @@ def test_loss_ties_the_tape_where_the_softmax_underflows():
     logits = np.abs(z @ plan.fold).max()
     assert logits > 1e3
     rtol = max(GRAD_RTOL, 16 * np.finfo(np.float64).eps * logits)
+    proj = projections(0)
     for cfgs in TIE_STACKS.values():
-        _assert_tied(plan, z, LAYOUT, cfgs, grad_rtol=rtol)
+        _assert_tied(plan, proj, z, LAYOUT, cfgs, grad_rtol=rtol)
+
+
+def test_loss_ties_the_tape_where_the_object_maps_vanish():
+    """An item without ``lac_normalize`` whose object maps sum below EPS
+    reads the lac denominator at its floor, which passes no adjoint back to
+    the maps; the loss still ties the tape there.
+
+    The latents add to the start latent a multiple of one row u whose
+    logits favour SoT and EoT over every other token by 2, so the object
+    tokens' attention falls by e^-2 per unit of the multiple.
+    """
+    plan, start = _setup(LAYOUT, BCFG, 0)
+    favour = np.full(plan.fold.shape[1], -1.0)
+    favour[[0, -1]] = 1.0
+    u = np.linalg.lstsq(plan.fold.T, favour, rcond=None)[0]
+    z = np.stack([start.z + c * u for c in (12.5, 20.0, 10.0)])
+    values = _attention(plan, z)
+    sums = [object_maps(v, LAYOUT).sum() for v in values]
+    assert sums[0] < EPS and sums[1] < EPS < sums[2]
+    proj = projections(0)
+    for name in ("lac_wo_norm", "mixed_normalize"):
+        _assert_tied(plan, proj, z, LAYOUT, TIE_STACKS[name])
