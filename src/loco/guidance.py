@@ -760,9 +760,12 @@ def _check_instance(seed: int, resolution: int, content_words: int,
 
 
 # Coordinates per stacked forward call of the central differences: a stack
-# of 128 perturbed latents. In-process timings of resolution-8 checks
-# favoured 64 over 32 and 128.
-_FD_CHUNK = 64
+# of 64 perturbed latents. At 64 coordinates a resolution-8 call's forward
+# temporaries (about 1.2 MB) outgrew the free heap and were trimmed and
+# faulted back in on every call, about 2000 page faults per check, unless an
+# earlier caller happened to leave a large enough free region; at 32 they
+# stayed at 0-2 faults per check in fresh and warmed processes alike.
+_FD_CHUNK = 32
 
 
 def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
@@ -779,7 +782,8 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     per call. A perturbed latent differs from the base latent in one pixel
     row, and attention is row-local, so only that row's attention is
     recomputed: the perturbed rows go through ``_attention`` as one stack,
-    and each lands in a copy of the base attention. Each item is
+    and each lands in its own copy of the base attention, in one stack of
+    copies made once and restored after each call. Each item is
     bit-identical to its own one-latent call, so ``numeric`` equals
     differencing one coordinate at a time, byte for byte.
     """
@@ -795,6 +799,7 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     q, d_z = z0.shape
     flat = z0.reshape(-1)
     numeric = np.empty(flat.size)
+    stack = np.repeat(base, 2 * min(_FD_CHUNK, flat.size), axis=0)
     for start in range(0, flat.size, _FD_CHUNK):
         idx = np.arange(start, min(start + _FD_CHUNK, flat.size))
         c = idx.size
@@ -808,11 +813,12 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
         # kernel. At q = 1 each row is a whole latent, so it keeps the
         # stacked forward's shape.
         shape = (2 * c, 1, d_z) if q == 1 else (1, 2 * c, d_z)
-        a = np.repeat(base, 2 * c, axis=0)
+        a = stack[:2 * c]
         a[items, pixels] = _attention(plan, rows.reshape(shape)).reshape(
             2 * c, -1)
         _, (_, _, totals, _) = _loss_and_grad(
             plan, a, [cfg] * (2 * c), target, frozen, with_grad=False)
+        a[items, pixels] = base[0, pixels]
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 

@@ -708,9 +708,10 @@ def test_gradient_check_negative_control(monkeypatch):
 
 
 # (resolution, content_words, n_objects, detach_norms). With d_z = 8 and
-# 64 coordinates per chunk, 5x5 (200 coordinates) and 6x6 (288) end in
-# partial chunks of 8 and 32; 8x8 and 16x16 fill their last chunk. At 1x1
-# (q = 1) each perturbed row is a whole latent.
+# 32 coordinates per chunk, 5x5 (200 coordinates) ends in a partial chunk of
+# 8 after six full ones, whose stack of base copies it reuses; 6x6, 8x8 and
+# 16x16 fill their last chunk. At 1x1 (q = 1) each perturbed row is a whole
+# latent, in one partial chunk.
 _FD_CASES = [(r, w, o, d) for r in (6, 8, 16) for w, o in ((2, 2), (4, 2), (6, 1))
              for d in (False, True)]
 _FD_CASES += [(r, 4, 2, d) for r in (1, 5) for d in (False, True)]
@@ -742,10 +743,10 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
     assert result.analytic.tobytes() == grads[0].tobytes()
 
 
-@pytest.mark.parametrize("resolution,calls", [(8, 9), (6, 6)])
+@pytest.mark.parametrize("resolution,calls", [(8, 17), (6, 10)])
 def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
-    """One gradient call, then one forward call per 64 coordinates: 1 +
-    ceil(q * d_z / 64), not one call per perturbed latent."""
+    """One gradient call, then one forward call per 32 coordinates: 1 +
+    ceil(q * d_z / 32), not one call per perturbed latent."""
     seen = []
 
     def counting(*args, **kwargs):
@@ -755,7 +756,7 @@ def test_gradient_check_stacks_its_differences(resolution, calls, monkeypatch):
     monkeypatch.setattr(guidance, "_loss_and_grad", counting)
     gradient_check(3, resolution=resolution)
     coords = resolution * resolution * 8
-    assert len(seen) == calls == 1 + math.ceil(coords / 64)
+    assert len(seen) == calls == 1 + math.ceil(coords / 32)
     assert sum(seen) == 1 + 2 * coords
 
 
