@@ -317,8 +317,7 @@ def update_latent(state: LatentState, grad: np.ndarray, gamma: float,
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One timestep of a run: its inner-iteration losses and the attention
-    its denoise read.
+    """One timestep of a run: its losses and the attention its denoise read.
 
     Step i of a run is its i-th timestep, guided iff it has losses, and
     leaves the latent at t = total_steps - 1 - i.
@@ -683,10 +682,9 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     ``cfg.iterations_per_step`` times before one denoise; the remaining
     timesteps denoise without guidance. ``seeds`` is the nonnegative
     master seed; ``Seeds.from_master`` draws the run's sub-seeds from it.
-    The run holds one ``StepRecord`` per timestep, its loss breakdowns and
-    the attention its denoise read; of the latents it keeps only the final
-    one, ``final_z``, (q, d_z), and its attention ``final_attention``,
-    (q, n): one map per token, SoT first and EoT last.
+    The run holds one ``StepRecord`` per timestep and, of the latents, only
+    the final one, ``final_z``, (q, d_z), and its attention
+    ``final_attention``, (q, n): one map per token, SoT first and EoT last.
     """
     plan, start = _setup(layout, backbone, seeds)
     steps = []
@@ -760,11 +758,8 @@ def _check_instance(seed: int, resolution: int, content_words: int,
 
 
 # Coordinates per stacked forward call of the central differences: a stack
-# of 64 perturbed latents. At 64 coordinates a resolution-8 call's forward
-# temporaries (about 1.2 MB) outgrew the free heap and were trimmed and
-# faulted back in on every call, about 2000 page faults per check, unless an
-# earlier caller happened to leave a large enough free region; at 32 they
-# stayed at 0-2 faults per check in fresh and warmed processes alike.
+# of 64 perturbed latents. At 64, a resolution-8 call's 1.2 MB of temporaries
+# could outgrow the free heap, trimmed and faulted in again on every call.
 _FD_CHUNK = 32
 
 
@@ -782,10 +777,10 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     per call. A perturbed latent differs from the base latent in one pixel
     row, and attention is row-local, so only that row's attention is
     recomputed: the perturbed rows go through ``_attention`` as one stack,
-    and each lands in its own copy of the base attention, in one stack of
-    copies made once and restored after each call. Each item is
-    bit-identical to its own one-latent call, so ``numeric`` equals
-    differencing one coordinate at a time, byte for byte.
+    and each lands in its copy of the base attention, in one stack restored
+    after each call. Each item is bit-identical to its own one-latent call,
+    so ``numeric`` equals differencing one coordinate at a time, byte for
+    byte.
     """
     layout, plan, cfg, z0 = _check_instance(seed, resolution, content_words,
                                             n_objects, detach_norms)
