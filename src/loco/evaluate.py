@@ -240,7 +240,8 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     timestep, where the boxes are still contested. Later in the trajectory
     any guided run drives cross mass to numerical zero, so this early
     window is where object-fusion pressure is actually measurable. It steps
-    one iteration at a time, reading the attention before each update.
+    a copy of the start latent in place, one iteration at a time, reading
+    the attention before each update.
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
@@ -248,10 +249,10 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
         raise ContractError("cross-box mass needs a guided step")
     plan, start = _setup(layout, backbone, seed)
     one = replace(cfg, iterations_per_step=1)
-    z, values = start.z[None], []
+    z, values = start.z[None].copy(), []
     for _ in range(cfg.iterations_per_step):
         maps = object_maps(_attention(plan, z)[0], layout)
-        z = _guided_step(z, 0, plan, [one])[1]
+        _guided_step(z, 0, plan, [one])
         values += [float((maps[i] * plan.flats[j]).sum())
                    for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))
@@ -343,7 +344,9 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
 
     Each (layout, seed) runs all its arms and sweep points as one stack of
     trajectories, and configs that compare equal run once (the gamma-30
-    sweep point is the ``lac_ptc`` arm). Of each timestep the trajectory
+    sweep point is the ``lac_ptc`` arm). The stack lists them in order of
+    ``guided_steps``, largest first, as ``_trajectories`` requires, so the
+    ``none`` arm runs last. Of each timestep the trajectory
     yields, only the loss breakdowns are kept, and the final latents are
     scored. Every record equals the one its config's
     own ``guided_sample`` run gives.
@@ -371,7 +374,8 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
     groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
                for gamma in gammas]
-    configs = list(dict.fromkeys(gcfg for _, gcfg in groups))
+    configs = sorted(dict.fromkeys(gcfg for _, gcfg in groups),
+                     key=lambda gcfg: -gcfg.guided_steps)
     items = [configs.index(gcfg) for _, gcfg in groups]
     # (layout index, seed index) -> that run's record in each group. Seeds
     # run outermost, because the noise draws depend on the seed alone.

@@ -411,22 +411,6 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return x @ np.ones((x.shape[-1], 1))
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """The (B, q, d_z) work arrays of one stacked trajectory, made once per
-    ``_trajectories`` call. A call on m <= B latents writes into their
-    leading slices ``[:m]``; each result is consumed before the array is
-    written again. The same products as fresh arrays, without allocating
-    and faulting in a few hundred KB per call."""
-
-    live: np.ndarray  # a guided step's copy of its live latents
-    grad: np.ndarray  # the latent gradient; then the denoise's increments
-
-    @classmethod
-    def like(cls, z: np.ndarray) -> _Workspace:
-        return cls(np.empty_like(z), np.empty_like(z))
-
-
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """Cross-attention values at stacked latents, (B, q, n): the row softmax
     of ``z @ plan.fold``, a fresh array. Row p of an item depends on row p
@@ -453,12 +437,12 @@ def _breakdowns(terms: _Terms) -> list[LossBreakdown]:
 def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
                    frozen_norms: FrozenNorms | None = None,
-                   with_grad: bool = True, work: _Workspace | None = None
+                   with_grad: bool = True, out: np.ndarray | None = None
                    ) -> tuple[np.ndarray | None, _Terms]:
     """``loco_loss`` at a stack of attention values a, (B, q, n), and its
     gradient with respect to the latents, (B, q, d_z), in closed form; item
     b uses ``cfgs[b]``. The items share ``beta`` and ``detach_norms``
-    (``_guided_step`` checks it) and take the rest from their own config.
+    (``_trajectories`` checks it) and take the rest from their own config.
 
     ``a`` is ``_attention`` of the latents; the loss reads only it, and the
     backward ends in ``plan.fold_t``, so no latent is needed. Returns the
@@ -467,8 +451,8 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     computes the function that ``cross_attention`` + ``loco_loss`` +
     ``Tape.backward`` compute on its latent, which stay as the oracle; the
     two differ by rounding only. ``target`` and ``frozen_norms`` act as in
-    ``loco_loss``, on every item. With ``work`` the gradients returned are
-    ``work.grad[:B]``; without it they are fresh.
+    ``loco_loss``, on every item. The gradients are written into ``out``,
+    (B, q, d_z), when it is given, and are a fresh array otherwise.
     """
     if len(cfgs) != a.shape[0]:
         raise ContractError("a stacked loss needs one config per latent")
@@ -488,7 +472,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     rows = np.concatenate((maps, 1.0 - a[:, None, :, 0], a[:, None, :, -1]),
                           axis=1)
     scaled = np.ones((b, k + 2), dtype=bool)
-    scaled[:, :k] = np.array([[c.lac_normalize] for c in cfgs])
+    scaled[:, :k] = np.array([c.lac_normalize for c in cfgs])[:, None]
     if frozen_norms is None:
         peak = rows.argmax(axis=-1)[..., None]  # the first max entry
         top = np.take_along_axis(rows, peak, axis=-1)[..., 0]
@@ -553,47 +537,39 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
 
     # Backward through the softmax and the folded projections.
     g_logits = a * (g_a - _row_sum(g_a * a))
-    return np.matmul(g_logits, plan.fold_t,
-                     out=None if work is None else work.grad[:b]), terms
+    return np.matmul(g_logits, plan.fold_t, out=out), terms
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
                  cfgs: Sequence[GuidanceConfig],
-                 work: _Workspace | None = None
-                 ) -> tuple[list[int], np.ndarray, list[list[LossBreakdown]]]:
-    """Guided timestep ``index`` of a stack z, which it leaves unchanged.
+                 grad: np.ndarray | None = None
+                 ) -> list[list[LossBreakdown]]:
+    """Guided timestep ``index`` of a stack z, which it updates in place.
 
-    Items with ``index >= guided_steps`` keep their latent. The others, the
-    live items, must share ``beta``, ``detach_norms`` and
-    ``iterations_per_step``; they take their updates together, one stacked
-    loss call per iteration, in place on their copy in ``work.live`` (a
-    workspace like z's is made when none is given). Returns the live
-    items' indices and updated latents, a view of ``work.live``, and each
-    item's loss breakdowns.
+    The live items, those with ``index < guided_steps``, lead the stack
+    (``_trajectories`` checks the order), so they are the prefix ``z[:m]``;
+    the items after them keep their latent. The live items take their
+    updates together, one stacked loss call per iteration, each gradient
+    written into ``grad[:m]`` (a fresh array per call when no ``grad`` is
+    given). Returns each item's loss breakdowns.
     """
-    live = [i for i, cfg in enumerate(cfgs) if index < cfg.guided_steps]
+    m = sum(index < cfg.guided_steps for cfg in cfgs)
     losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
-    if not live:
-        return live, z[:0], losses
-    if work is None:
-        work = _Workspace.like(z)
-    zr = np.take(z, live, axis=0, out=work.live[:len(live)])
-    part = [cfgs[i] for i in live]
-    if len({(c.beta, c.detach_norms, c.iterations_per_step)
-            for c in part}) != 1:
-        raise ContractError("the guided items of a stack must share beta, "
-                            "detach_norms and iterations_per_step")
+    if not m:
+        return losses
+    zr, part = z[:m], cfgs[:m]
+    out = None if grad is None else grad[:m]
     # update_latent's step, gamma * lambda, per item.
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
     for _ in range(part[0].iterations_per_step):
         values = _attention(plan, zr)
-        grad, terms = _loss_and_grad(plan, values, part, work=work)
-        grad *= step
-        zr -= grad
-        for i, breakdown in zip(live, _breakdowns(terms)):
-            losses[i].append(breakdown)
-    return live, zr, losses
+        g, terms = _loss_and_grad(plan, values, part, out=out)
+        g *= step
+        zr -= g
+        for item, breakdown in zip(losses, _breakdowns(terms)):
+            item.append(breakdown)
+    return losses
 
 
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
@@ -621,7 +597,10 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     timestep's (q, d_z) noise draw, taken in order from ``draws``
     (``_noise_draws`` of the run seed); ``gamma``, ``alpha``,
     ``lac_normalize`` and ``guided_steps`` may differ, while the guided
-    items share ``beta``, ``detach_norms`` and ``iterations_per_step``. Each
+    items share ``beta``, ``detach_norms`` and ``iterations_per_step``. The
+    items come in order of ``guided_steps``, largest first, so the items a
+    guided step updates lead the stack. Both conditions are checked once,
+    and a stack that breaks one raises ``ContractError``. Each
     item is bit-identical to its own run. Each yield is ``(losses,
     attention, z)``: every item's loss breakdowns of the timestep, the
     (B, q, n) attention the denoise read, a fresh array, and the stack
@@ -632,14 +611,22 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             raise ContractError(
                 f"guided_steps={cfg.guided_steps} exceeds the "
                 f"{backbone.total_steps}-step trajectory")
+    if any(a.guided_steps < b.guided_steps for a, b in zip(cfgs, cfgs[1:])):
+        raise ContractError("the items of a stack must come in order of "
+                            "guided_steps, largest first")
+    if len({(c.beta, c.detach_norms, c.iterations_per_step)
+            for c in cfgs if c.guided_steps}) > 1:
+        raise ContractError("the guided items of a stack must share beta, "
+                            "detach_norms and iterations_per_step")
     rho = backbone.rho
     e_v = plan.keys
     value_rms = float(np.sqrt(np.mean(e_v * e_v)))
-    # The stack and its workspace: the guided updates, the gradient, the
-    # denoise and the noise write into them in place, the same operations
-    # as fresh arrays without allocating.
+    # The stack and one work array, for the guided steps' gradients and
+    # then the denoise's increments: the updates, the denoise and the noise
+    # write into them in place, the same operations as fresh arrays without
+    # allocating.
     z = np.repeat(z0[None], len(cfgs), axis=0)
-    work = _Workspace.like(z)
+    work = np.empty_like(z)
 
     for index, draw in zip(range(backbone.total_steps), draws, strict=True):
         t = backbone.total_steps - index
@@ -647,15 +634,13 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         # warnings. The state is set per timestep, so that it never spans
         # a yield and leaks into the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            live, z_live, losses = _guided_step(z, index, plan, cfgs, work)
-            if live:
-                z[live] = z_live
+            losses = _guided_step(z, index, plan, cfgs, work)
             attn = _attention(plan, z)
             # denoise_step on every item: (1 - rho) z + rho (A E_v), then
             # sigma times the shared draw.
             sigma = effective_noise(
                 backbone, t, z, expected_latent_rms(backbone, index, value_rms))
-            delta = np.matmul(attn, e_v, out=work.grad)
+            delta = np.matmul(attn, e_v, out=work)
             delta *= rho
             z *= 1.0 - rho
             z += delta

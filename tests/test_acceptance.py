@@ -109,7 +109,8 @@ def test_criterion_3_descent():
     trials = 100
     for trial in range(trials):
         plan, state = _setup(layout, BCFG, trial)
-        _, after, losses = _guided_step(state.z[None], 0, plan, [one_step])
+        after = state.z[None].copy()
+        losses = _guided_step(after, 0, plan, [one_step])
         before = losses[0][0].total
         recomputed = shipped_terms(plan, _attention(plan, after)[0], GCFG)[2]
         descended += recomputed < before

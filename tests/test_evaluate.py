@@ -378,7 +378,7 @@ def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
 
     groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
     groups += [("gamma_sweep", GuidanceConfig(gamma=g)) for g in sweep]
-    distinct = [gcfg for _, gcfg in groups[:-1]]
+    distinct = [gcfg for _, gcfg in groups[1:-1] + groups[:1]]
     assert stacks == [distinct] * (len(suite) * len(seeds))
 
     def solo_records(label, gcfg):

@@ -439,25 +439,40 @@ def test_guided_steps_zero_matches_plain_backbone_loop():
     run = guided_sample(LAYOUT, cfg, BCFG, 6)
     assert_values_close(run.final_z, want[-1])
     # The same config as one item of a stack whose other items are guided.
-    stack = [GuidanceConfig(), cfg, arm_config(GuidanceConfig(), "lac_wo_norm")]
-    track = _stacked_run(LAYOUT, stack, 6)[1]
+    stack = [GuidanceConfig(), arm_config(GuidanceConfig(), "lac_wo_norm"), cfg]
+    track = _stacked_run(LAYOUT, stack, 6)[2]
     assert track.curve == [] and len(track.steps) == len(want)
     for step, z in zip(track.steps, want):
         assert_values_close(step.z, z)
 
 
-def test_guided_step_leaves_its_input_stack_unchanged():
+def test_guided_step_updates_the_leading_live_items_in_place():
+    """The live items lead the stack: a guided step updates them in place,
+    each as its own one-item step would, and leaves the items after them
+    byte-unchanged."""
     plan, start = _setup(LAYOUT, BCFG, 1)
     guided, unguided = GuidanceConfig(), GuidanceConfig(guided_steps=0)
-    for cfgs, want in (([guided, unguided, guided], [0, 2]),
-                       ([guided, guided], [0, 1])):
+    for index, cfgs, m in (
+            (0, [guided, replace(guided, gamma=5.0), unguided], 2),
+            (1, [guided, replace(guided, guided_steps=1), unguided], 1),
+            (0, [unguided, unguided], 0)):
         z = np.repeat(start.z[None], len(cfgs), axis=0)
-        before = z.tobytes()
-        live, z_live, losses = guidance._guided_step(z, 0, plan, cfgs)
-        assert z.tobytes() == before
-        assert live == want and not np.shares_memory(z_live, z)
-        assert [len(x) for x in losses] == [5 if i in want else 0
-                                            for i in range(len(cfgs))]
+        before = z.copy()
+        losses = guidance._guided_step(z, index, plan, cfgs)
+        assert z[m:].tobytes() == before[m:].tobytes()
+        for i in range(m):
+            solo = start.z[None].copy()
+            guidance._guided_step(solo, index, plan, [cfgs[i]])
+            assert not np.array_equal(z[i], before[i])
+            assert z[i].tobytes() == solo[0].tobytes()
+        assert [len(x) for x in losses] == [5] * m + [0] * (len(cfgs) - m)
+
+
+@pytest.mark.parametrize("steps", [(0, 10), (10, 0, 1), (1, 2)])
+def test_trajectories_reject_a_stack_out_of_guided_steps_order(steps):
+    stack = [GuidanceConfig(guided_steps=s) for s in steps]
+    with pytest.raises(ContractError, match="largest first"):
+        _stacked_run(LAYOUT, stack, 0)
 
 
 def _arrays(tracks):
@@ -469,11 +484,12 @@ def _arrays(tracks):
 
 
 def test_two_trajectory_calls_share_no_memory():
-    """Each ``_trajectories`` call owns its stack and workspace: the tracks
-    of a second, identical call are equal to the first's and share no
-    memory with them."""
-    stack = [GuidanceConfig(guided_steps=2), GuidanceConfig(guided_steps=0),
-             GuidanceConfig(guided_steps=1, gamma=5.0)]
+    """Each ``_trajectories`` call owns its stack and work array: the
+    tracks of a second, identical call are equal to the first's and share
+    no memory with them."""
+    stack = [GuidanceConfig(guided_steps=2),
+             GuidanceConfig(guided_steps=1, gamma=5.0),
+             GuidanceConfig(guided_steps=0)]
     first, second = (_arrays(_stacked_run(LAYOUT, stack, 2))
                      for _ in range(2))
     for a, b in zip(first, second, strict=True):
@@ -563,14 +579,16 @@ def test_row_reductions_tie_numpy_bit_for_bit():
 
 
 def _arms(**flags):
-    return [arm_config(GuidanceConfig(**flags), arm) for arm in ARMS]
+    """Every arm at the given flags, the unguided none arm last."""
+    return [arm_config(GuidanceConfig(**flags), arm)
+            for arm in (*ARMS[1:], ARMS[0])]
 
 
 def test_stacked_guided_items_match_the_oracle_loop():
     # One stack per set of shared loop flags, each with every arm.
     layout = parse_layout(
         (bundled_suite_dir() / "fusion_cup_hat.json").read_text())
-    for stack in (_arms() + [GuidanceConfig(gamma=300.0)],
+    for stack in ([GuidanceConfig(gamma=300.0)] + _arms(),
                   _arms(detach_norms=True),
                   _arms(beta=0.5, guided_steps=3, iterations_per_step=2)):
         tracks = _stacked_run(layout, stack, 2)
@@ -606,8 +624,9 @@ def _assert_same_run(track, run):
 def test_stacked_run_equals_each_items_solo_run():
     # Every arm and sweep point of the benchmark, the duplicate gamma-30
     # point included, over the suite and two seeds.
-    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS]
+    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS[1:]]
     stack += [GuidanceConfig(gamma=g) for g in (1.0, 5.0, 30.0, 300.0)]
+    stack += [arm_config(GuidanceConfig(), ARMS[0])]
     for _, layout in load_suite(bundled_suite_dir()):
         for seed in (0, 1):
             solo = {}
