@@ -233,7 +233,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     suite = load_suite(suite_dir)
     cfg = _guidance_config(args)
     seed = _seed(args)
-    seeds = list(range(seed, seed + args.seeds))
+    try:
+        seeds = list(range(seed, seed + args.seeds))
+    except (OverflowError, MemoryError):
+        raise ContractError(
+            f"--seeds {args.seeds} is more seeds than fit in memory") from None
     sweep = _gamma_sweep(args.gamma_sweep) if args.gamma_sweep else None
     report = run_benchmark(suite, cfg, BackboneConfig(), seeds,
                            gamma_sweep=sweep)

@@ -239,20 +239,18 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     object j's box, averaged over the inner iterations of the first guided
     timestep, where the boxes are still contested. Later in the trajectory
     any guided run drives cross mass to numerical zero, so this early
-    window is where object-fusion pressure is actually measurable. It steps
-    a copy of the start latent in place, one iteration at a time, reading
-    the attention before each update.
+    window is where object-fusion pressure is actually measurable. It runs
+    the guided loop's first step on a copy of the start latent and reads
+    the attention each of its updates read, as the step yields it.
     """
     if layout.k < 2:
         raise ContractError("cross-box mass needs at least two objects")
     if cfg.guided_steps < 1:
         raise ContractError("cross-box mass needs a guided step")
     plan, start = _setup(layout, backbone, seed)
-    one = replace(cfg, iterations_per_step=1)
-    z, values = start.z[None].copy(), []
-    for _ in range(cfg.iterations_per_step):
-        maps = object_maps(_attention(plan, z)[0], layout)
-        _guided_step(z, 0, plan, [one])
+    values = []
+    for attn, _ in _guided_step(start.z[None].copy(), 0, plan, [cfg]):
+        maps = object_maps(attn[0], layout)
         values += [float((maps[i] * plan.flats[j]).sum())
                    for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from math import sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,14 +48,12 @@ from .layout import Layout, Phrase, layout_from_dict, rasterize_box
 
 __all__ = [
     "EPS",
-    "FrozenNorms",
     "GradCheckResult",
     "GuidanceConfig",
     "GuidedRun",
     "LossBreakdown",
     "StepRecord",
     "gradient_check",
-    "loss_norms",
     "guided_sample",
     "lac_loss",
     "loco_loss",
@@ -65,7 +63,6 @@ __all__ = [
     "ptc_maps",
     "relative_error",
     "schedule",
-    "target_maps",
     "update_latent",
 ]
 
@@ -94,20 +91,6 @@ class GuidanceConfig:
                              "guided_steps": (0, sys.float_info.max)})
         if self.gamma == 0:
             raise ContractError(f"gamma must be positive, got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class FrozenNorms:
-    """Rescaling divisors pinned to explicit values.
-
-    Detached divisors are constants of the differentiated function, so the
-    finite-difference oracle evaluates the loss with the base-point values
-    held fixed; this carries them.
-    """
-
-    lac: tuple[float, ...]
-    sot: float
-    eot: float
 
 
 @dataclass(frozen=True)
@@ -206,16 +189,8 @@ def lac_loss(attn: Var, layout: Layout, masks: Sequence[np.ndarray],
     return dm.square(1.0 - ratio)
 
 
-def target_maps(attn_values: np.ndarray, layout: Layout,
-                masks: Sequence[np.ndarray]) -> np.ndarray:
-    """The PTC target off the tape, (q,): the cellwise max over objects of
-    each object map masked to its box."""
-    maps = object_maps(attn_values, layout)
-    return (maps * _flat_masks(masks, maps.shape[1])).max(axis=0)
-
-
 def ptc_maps(attn: Var, beta: float, detach_norms: bool = False,
-             frozen_norms: tuple[float, float] | None = None) -> Var:
+             frozen_norms: Sequence[float] | None = None) -> Var:
     """Blend of the SoT-complement and EoT maps, each max-rescaled, (q, 1).
 
     A convex combination of two maps with entries in [0, 1], so the result
@@ -255,35 +230,28 @@ def ptc_loss(a_pt: Var, target: np.ndarray) -> Var:
     return (0.0 - dm.total(good)) / float(cells)
 
 
-def loss_norms(attn_values: np.ndarray, layout: Layout) -> FrozenNorms:
-    """The loss chain's rescaling divisors, evaluated at given attention."""
-    lac = tuple(max(float(m.max()), EPS)
-                for m in object_maps(attn_values, layout))
-    sot = max(float((1.0 - attn_values[:, 0]).max()), EPS)
-    eot = max(float(attn_values[:, -1].max()), EPS)
-    return FrozenNorms(lac=lac, sot=sot, eot=eot)
-
-
 def loco_loss(attn: Var, layout: Layout, masks: Sequence[np.ndarray],
               cfg: GuidanceConfig, target: np.ndarray | None = None,
-              frozen_norms: FrozenNorms | None = None) -> tuple[Var, LossBreakdown]:
+              frozen_norms: np.ndarray | None = None
+              ) -> tuple[Var, LossBreakdown]:
     """Combined loss ``lac + alpha * ptc`` on the tape, plus its breakdown.
 
-    ``target`` defaults to ``target_maps`` of the current attention values,
-    treated as a constant for this iteration. ``frozen_norms`` pins the
-    rescaling divisors, which the finite-difference oracle needs when the
-    divisors are detached.
+    ``target`` defaults to the cellwise max over objects of each object map
+    masked to its box, at the current attention values, treated as a
+    constant for this iteration. ``frozen_norms``, (k + 2,), pins the
+    rescaling divisors: the k object maps', then the SoT complement's and
+    the EoT map's, as ``_loss_and_grad`` returns them in ``peaks``.
     """
     maps = object_maps(attn.value, layout)
     masked = maps * _flat_masks(masks, maps.shape[1])
     if target is None:
         target = masked.max(axis=0)
+    held = frozen_norms is not None
     lac = lac_loss(attn, layout, masks, normalize=cfg.lac_normalize,
                    detach_norms=cfg.detach_norms,
-                   frozen_norms=frozen_norms.lac if frozen_norms else None)
+                   frozen_norms=frozen_norms[:-2] if held else None)
     a_pt = ptc_maps(attn, cfg.beta, detach_norms=cfg.detach_norms,
-                    frozen_norms=(frozen_norms.sot, frozen_norms.eot)
-                    if frozen_norms else None)
+                    frozen_norms=frozen_norms[-2:] if held else None)
     ptc = ptc_loss(a_pt, target)
     loss = lac + cfg.alpha * ptc
     inbox = masked.sum(axis=1) / np.maximum(maps.sum(axis=1), EPS)
@@ -343,11 +311,10 @@ class GuidedRun:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A run's constants: the prompt and box masks, plus the operands built
-    from them and the projections once, so an iteration only touches z."""
+    """A run's constants: the prompt, and the operands built once from it,
+    the boxes and the projections, so an iteration only touches z."""
 
     tokens: TokenSet
-    masks: tuple[np.ndarray, ...]
     keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
     fold: np.ndarray  # (d_z, n): W_q K^T / sqrt(d), so logits = z @ fold
     fold_t: np.ndarray  # (n, d_z): fold^T, C-contiguous, for the backward
@@ -371,13 +338,13 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     seeds = Seeds.from_master(seed)
     tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
     proj = build_projections(backbone, seeds.proj)
-    masks = tuple(rasterize_box(b, backbone.resolution) for b in layout.boxes)
     keys = tokens.e @ proj.w_k
     # The backbone is frozen, so within a run W_q and K are constants and
     # the two projections fold into one (d_z, n) map.
     fold = (proj.w_q @ keys.T) / sqrt(proj.w_q.shape[1])
+    masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
     plan = _Plan(
-        tokens=tokens, masks=masks, keys=keys, fold=fold,
+        tokens=tokens, keys=keys, fold=fold,
         fold_t=np.ascontiguousarray(fold.T),
         sel=_phrase_selector(layout.phrases, tokens.n),
         flats=_flat_masks(masks, backbone.q))
@@ -422,21 +389,28 @@ def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     return e
 
 
-# A stack's loss terms, one entry per item: lac, ptc and total, (B,), and
-# each object's in-box share of its attention mass, (B, k).
-_Terms = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+class _Terms(NamedTuple):
+    """A stack's loss terms, one entry per item, and the constants the loss
+    held while it differentiated."""
+
+    lac: np.ndarray  # (B,)
+    ptc: np.ndarray  # (B,)
+    total: np.ndarray  # (B,)
+    inbox: np.ndarray  # (B, k): each object's in-box share of its mass
+    target: np.ndarray  # (B, q) cross-entropy target, or the given (q,)
+    peaks: np.ndarray  # (B, k + 2) floored map peaks, or the given (k + 2,)
 
 
 def _breakdowns(terms: _Terms) -> list[LossBreakdown]:
     """One ``LossBreakdown`` per item of a stack's loss terms."""
     return [LossBreakdown(lac=l, ptc=c, total=t,
                           per_object_inbox_fraction=tuple(f))
-            for l, c, t, f in zip(*(x.tolist() for x in terms))]
+            for l, c, t, f in zip(*(x.tolist() for x in terms[:4]))]
 
 
 def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
                    target: np.ndarray | None = None,
-                   frozen_norms: FrozenNorms | None = None,
+                   frozen_norms: np.ndarray | None = None,
                    with_grad: bool = True, out: np.ndarray | None = None
                    ) -> tuple[np.ndarray | None, _Terms]:
     """``loco_loss`` at a stack of attention values a, (B, q, n), and its
@@ -450,9 +424,18 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     (``_breakdowns`` turns them into one breakdown per item). Each item
     computes the function that ``cross_attention`` + ``loco_loss`` +
     ``Tape.backward`` compute on its latent, which stay as the oracle; the
-    two differ by rounding only. ``target`` and ``frozen_norms`` act as in
-    ``loco_loss``, on every item. The gradients are written into ``out``,
-    (B, q, d_z), when it is given, and are a fresh array otherwise.
+    two differ by rounding only. ``target``, (q,), and ``frozen_norms``,
+    (k + 2,), act as in ``loco_loss``, on every item. The gradients are
+    written into ``out``, (B, q, d_z), when it is given, and are a fresh
+    array otherwise.
+
+    Besides the loss terms, the record holds the two constants the loss
+    holds while it differentiates: the cross-entropy target and the floored
+    map peaks, the k object maps', the SoT complement's and the EoT map's,
+    taken before an item without ``lac_normalize`` divides by 1.0 instead.
+    Each is the array the loss read, the given one when given; fed back as
+    ``target`` and ``frozen_norms`` at the same attention, an item's
+    constants reproduce its terms.
     """
     if len(cfgs) != a.shape[0]:
         raise ContractError("a stacked loss needs one config per latent")
@@ -477,11 +460,10 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
         peak = rows.argmax(axis=-1)[..., None]  # the first max entry
         top = np.take_along_axis(rows, peak, axis=-1)[..., 0]
         won = top >= EPS
-        norms = np.where(won, top, EPS)
+        peaks = np.where(won, top, EPS)
     else:
-        norms = np.array((*frozen_norms.lac, frozen_norms.sot,
-                          frozen_norms.eot), dtype=np.float64)
-    norms = np.where(scaled, norms, 1.0)
+        peaks = np.asarray(frozen_norms, dtype=np.float64)
+    norms = np.where(scaled, peaks, 1.0)
 
     # lac: the in-box share of the rescaled object mass.
     masked = maps * plan.flats
@@ -509,7 +491,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     ptc = -(y * np.log(p) + not_y * np.log(1.0 - p)).mean(axis=-1)
     total = lac + alpha * ptc
 
-    terms = lac, ptc, total, inbox / np.maximum(every, EPS)
+    terms = _Terms(lac, ptc, total, inbox / np.maximum(every, EPS), y, peaks)
     if not with_grad:
         return None, terms
 
@@ -543,7 +525,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
                  cfgs: Sequence[GuidanceConfig],
                  grad: np.ndarray | None = None
-                 ) -> list[list[LossBreakdown]]:
+                 ) -> Iterator[tuple[np.ndarray, _Terms]]:
     """Guided timestep ``index`` of a stack z, which it updates in place.
 
     The live items, those with ``index < guided_steps``, lead the stack
@@ -551,12 +533,13 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     the items after them keep their latent. The live items take their
     updates together, one stacked loss call per iteration, each gradient
     written into ``grad[:m]`` (a fresh array per call when no ``grad`` is
-    given). Returns each item's loss breakdowns.
+    given). After each iteration's update it yields ``(values, terms)``:
+    the (m, q, n) attention values the update read, a fresh array, and the
+    live items' loss terms. With no live item it yields nothing.
     """
     m = sum(index < cfg.guided_steps for cfg in cfgs)
-    losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
     if not m:
-        return losses
+        return
     zr, part = z[:m], cfgs[:m]
     out = None if grad is None else grad[:m]
     # update_latent's step, gamma * lambda, per item.
@@ -567,9 +550,7 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
         g, terms = _loss_and_grad(plan, values, part, out=out)
         g *= step
         zr -= g
-        for item, breakdown in zip(losses, _breakdowns(terms)):
-            item.append(breakdown)
-    return losses
+        yield values, terms
 
 
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
@@ -634,7 +615,10 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         # warnings. The state is set per timestep, so that it never spans
         # a yield and leaks into the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            losses = _guided_step(z, index, plan, cfgs, work)
+            losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
+            for _, terms in _guided_step(z, index, plan, cfgs, work):
+                for item, breakdown in zip(losses, _breakdowns(terms)):
+                    item.append(breakdown)
             attn = _attention(plan, z)
             # denoise_step on every item: (1 - rho) z + rho (A E_v), then
             # sigma times the shared draw.
@@ -722,9 +706,9 @@ def _random_layout(rng: np.random.Generator, n_objects: int,
 
 def _check_instance(seed: int, resolution: int, content_words: int,
                     n_objects: int, detach_norms: bool
-                    ) -> tuple[Layout, _Plan, GuidanceConfig, np.ndarray]:
+                    ) -> tuple[_Plan, GuidanceConfig, np.ndarray]:
     """``gradient_check``'s seeded problem, after checking its arguments: the
-    random layout, its plan, the config and the base latent."""
+    plan of a random layout, the config and the base latent."""
     given = (seed, content_words, n_objects)
     if not (all(map(_is_nonnegative_int, given)) and content_words >= 2
             and 1 <= n_objects <= content_words <= len(_CHECK_WORDS)):
@@ -739,7 +723,7 @@ def _check_instance(seed: int, resolution: int, content_words: int,
     layout = _random_layout(rng, n_objects, content_words)
     plan, _ = _setup(layout, backbone, seed)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
-    return layout, plan, GuidanceConfig(detach_norms=detach_norms), z0
+    return plan, GuidanceConfig(detach_norms=detach_norms), z0
 
 
 # Coordinates per stacked forward call of the central differences: a stack
@@ -756,10 +740,10 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     Builds a seeded random layout and latent at the given grid size and
     differences every latent entry. Detached quantities (the cross-entropy
     target, and the rescaling divisors when ``detach_norms`` is on) are
-    constants of the differentiated function, so they are held at their
-    base-point values throughout. The differences run as stacked forward
-    calls, the +step and -step latents of up to ``_FD_CHUNK`` coordinates
-    per call. A perturbed latent differs from the base latent in one pixel
+    constants of the differentiated function, so they are held at the
+    values the base call of ``_loss_and_grad`` returned. The differences
+    run as stacked forward calls, the +step and -step latents of up to
+    ``_FD_CHUNK`` coordinates per call. A perturbed latent differs from the base latent in one pixel
     row, and attention is row-local, so only that row's attention is
     recomputed: the perturbed rows go through ``_attention`` as one stack,
     and each lands in its copy of the base attention, in one stack restored
@@ -767,14 +751,13 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     so ``numeric`` equals differencing one coordinate at a time, byte for
     byte.
     """
-    layout, plan, cfg, z0 = _check_instance(seed, resolution, content_words,
-                                            n_objects, detach_norms)
+    plan, cfg, z0 = _check_instance(seed, resolution, content_words,
+                                    n_objects, detach_norms)
 
     base = _attention(plan, z0[None])
-    grads, _ = _loss_and_grad(plan, base, [cfg])
-    analytic, values = grads[0], base[0]
-    target = target_maps(values, layout, plan.masks)
-    frozen = loss_norms(values, layout) if detach_norms else None
+    grads, held = _loss_and_grad(plan, base, [cfg])
+    analytic, target = grads[0], held.target[0]
+    norms = held.peaks[0] if detach_norms else None
 
     q, d_z = z0.shape
     flat = z0.reshape(-1)
@@ -796,8 +779,8 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
         a = stack[:2 * c]
         a[items, pixels] = _attention(plan, rows.reshape(shape)).reshape(
             2 * c, -1)
-        _, (_, _, totals, _) = _loss_and_grad(
-            plan, a, [cfg] * (2 * c), target, frozen, with_grad=False)
+        totals = _loss_and_grad(plan, a, [cfg] * (2 * c), target, norms,
+                                with_grad=False)[1].total
         a[items, pixels] = base[0, pixels]
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)

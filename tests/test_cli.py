@@ -283,6 +283,21 @@ def test_bench_gamma_sweep_rejects_non_numbers(small_suite_dir, tmp_path,
     assert not out.exists()
 
 
+# Seed counts whose seed list cannot be built: 1e20 overflows a list's
+# length, and 2**62 seeds would take 2**65 bytes, refused before any memory
+# is allocated.
+@pytest.mark.parametrize("count", [10 ** 20, 2 ** 62])
+def test_bench_rejects_a_seed_count_that_cannot_be_listed(
+        small_suite_dir, tmp_path, capsys, count):
+    out = tmp_path / "bench"
+    assert main(["bench", "--layout", str(small_suite_dir), "--out", str(out),
+                 "--seeds", str(count)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"--seeds {count}" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate --layout", "generate --config",
                                      "bench --layout"])
 def test_non_utf8_input_file_is_one_error_line(layout_file, tmp_path, capsys,

@@ -492,16 +492,19 @@ def test_cross_mass_probe_leaves_the_start_latent_unchanged(monkeypatch):
 
 def test_cross_mass_probe_averages_five_distinct_attention_arrays(
         monkeypatch):
-    """The attention arrays the probe reads are one per inner iteration,
-    each its own array: none is a view of a reused buffer."""
+    """The probe's attention forwards, counted at every binding, are the
+    guided step's one per inner iteration, each its own array: none is a
+    view of a reused buffer."""
     seen = []
+    original = guidance._attention
 
     def recording(*args):
-        out = guidance._attention(*args)
+        out = original(*args)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(evaluate, "_attention", recording)
+    for module in (guidance, evaluate):
+        monkeypatch.setattr(module, "_attention", recording)
     cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
     assert len(seen) == GuidanceConfig().iterations_per_step == 5
     for i, a in enumerate(seen):

@@ -14,6 +14,7 @@ from loco.backbone import (BackboneConfig, Seeds,
                            build_projections, cross_attention, denoise_step,
                            effective_noise, embed_tokens, expected_latent_rms,
                            init_latent, value_matrix)
+from loco import diffmath as dm
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
@@ -21,9 +22,9 @@ from loco.guidance import (EPS, FD_STEP, GuidanceConfig, _attention,
                            _breakdowns, _check_instance, _loss_and_grad,
                            _noise_draws, _setup, _trajectories,
                            gradient_check, guided_sample,
-                           lac_loss, loco_loss, loss_norms, object_attention,
+                           lac_loss, loco_loss, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
-                           target_maps, update_latent)
+                           update_latent)
 from loco.layout import Phrase, layout_from_dict, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 from oracles import central_difference, rel_error
@@ -227,7 +228,9 @@ def test_frozen_norms_match_detached_gradient():
     loss, _ = loco_loss(attn, LAYOUT, MASKS, cfg)
     detached_grad = tape.backward(loss)[z]
 
-    frozen = loss_norms(attn.value, LAYOUT)
+    plan, _ = _setup(LAYOUT, BCFG, 0)
+    frozen = _loss_and_grad(plan, attn.value[None], [cfg],
+                            with_grad=False)[1].peaks[0]
     tape2 = Tape()
     z2 = tape2.leaf(z0)
     attn2 = cross_attention(tape2, z2, tokens, proj)
@@ -236,10 +239,12 @@ def test_frozen_norms_match_detached_gradient():
     assert np.allclose(detached_grad, frozen_grad, atol=1e-15)
 
 
-def test_target_maps_structure():
+def test_held_target_structure():
     rng = np.random.default_rng(10)
     values = rng.dirichlet(np.ones(5), size=256)
-    target = target_maps(values, LAYOUT, MASKS)
+    plan, _ = _setup(LAYOUT, BCFG, 0)
+    target = _loss_and_grad(plan, values[None], [GuidanceConfig()],
+                            with_grad=False)[1].target[0]
     assert target.shape == (256,)
     flats = np.stack([m.reshape(-1) for m in MASKS])
     masked = object_maps(values, LAYOUT) * flats
@@ -458,14 +463,16 @@ def test_guided_step_updates_the_leading_live_items_in_place():
             (0, [unguided, unguided], 0)):
         z = np.repeat(start.z[None], len(cfgs), axis=0)
         before = z.copy()
-        losses = guidance._guided_step(z, index, plan, cfgs)
+        steps = list(guidance._guided_step(z, index, plan, cfgs))
         assert z[m:].tobytes() == before[m:].tobytes()
         for i in range(m):
             solo = start.z[None].copy()
-            guidance._guided_step(solo, index, plan, [cfgs[i]])
+            list(guidance._guided_step(solo, index, plan, [cfgs[i]]))
             assert not np.array_equal(z[i], before[i])
             assert z[i].tobytes() == solo[0].tobytes()
-        assert [len(x) for x in losses] == [5] * m + [0] * (len(cfgs) - m)
+        assert len(steps) == (5 if m else 0)
+        for values, terms in steps:
+            assert values.shape[0] == len(terms.total) == m
 
 
 @pytest.mark.parametrize("steps", [(0, 10), (10, 0, 1), (1, 2)])
@@ -742,18 +749,15 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
     """The stacked central differences are byte-identical to the oracle's
     one-coordinate-at-a-time differences of the one-latent forward, with
     the target (and, detached, the divisors) held at the base point."""
-    layout, plan, cfg, z0 = _check_instance(5, resolution, words, objects,
-                                            detach)
+    plan, cfg, z0 = _check_instance(5, resolution, words, objects, detach)
     values = _attention(plan, z0[None])
-    grads, _ = _loss_and_grad(plan, values, [cfg])
-    target = target_maps(values[0], layout, plan.masks)
-    frozen = loss_norms(values[0], layout) if detach else None
+    grads, held = _loss_and_grad(plan, values, [cfg])
+    target = held.target[0]
+    frozen = held.peaks[0] if detach else None
 
     def f(z):
-        _, (_, _, total, _) = _loss_and_grad(plan, _attention(plan, z[None]),
-                                             [cfg], target, frozen,
-                                             with_grad=False)
-        return total[0]
+        return _loss_and_grad(plan, _attention(plan, z[None]), [cfg], target,
+                              frozen, with_grad=False)[1].total[0]
 
     result = gradient_check(5, resolution=resolution, content_words=words,
                             n_objects=objects, detach_norms=detach)
@@ -831,7 +835,7 @@ def _tape_loss_and_grad(plan, proj, z, layout, cfg, **overrides):
     tape = Tape()
     leaf = tape.leaf(z)
     attn = cross_attention(tape, leaf, plan.tokens, proj)
-    loss, breakdown = loco_loss(attn, layout, plan.masks, cfg, **overrides)
+    loss, breakdown = loco_loss(attn, layout, plan.flats, cfg, **overrides)
     return tape.backward(loss)[leaf], breakdown, attn.value
 
 
@@ -916,9 +920,9 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     proj = projections(11, backbone)
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
-    values = _attention(plan, z0[None])[0]
-    target = target_maps(values, layout, plan.masks)
-    frozen = loss_norms(values, layout)
+    held = _loss_and_grad(plan, _attention(plan, z0[None]),
+                          [GuidanceConfig()], with_grad=False)[1]
+    target, frozen = held.target[0], held.peaks[0]
     z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
     for overrides in ({}, {"target": target}, {"frozen_norms": frozen},
                       {"target": target, "frozen_norms": frozen}):
@@ -930,6 +934,44 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
         # Items that differ in lac_normalize, at both points, as one stack.
         _assert_tied(plan, proj, np.stack([z0] * 3 + [z1] * 3), layout,
                      MIXED_NORMALIZE * 2, **overrides)
+
+
+def _tape_divisors(values, layout):
+    """The tape's floored max-rescaling divisors at (q, n) attention values:
+    each object map's, then the SoT complement's and the EoT map's."""
+    attn = make_attention(values)
+    eye = np.eye(values.shape[1])
+    sot, eot = (dm.matmul(attn, attn.tape.constant(col))
+                for col in (eye[:, :1], eye[:, -1:]))
+    maps = [object_attention(attn, p) for p in layout.phrases]
+    maps += [1.0 - sot, eot]
+    return np.array([float(dm.maximum(dm.max_norm(m), EPS).value)
+                     for m in maps])
+
+
+@pytest.mark.parametrize("detach", [False, True])
+def test_held_constants_reproduce_the_loss_and_tie_the_tape(detach):
+    """The target and peaks the loss returns are the constants it held: fed
+    back at the same attention they give its total bit for bit, the peaks
+    are the tape's floored divisors, and an item without ``lac_normalize``
+    still holds its object maps' peaks, not the 1.0 it divides by."""
+    cfgs = [replace(cfg, detach_norms=detach) for cfg in MIXED_NORMALIZE]
+    assert not cfgs[0].lac_normalize
+    for _, layout in load_suite(bundled_suite_dir()):
+        plan, start = _setup(layout, BCFG, 0)
+        z = np.repeat(start.z[None], len(cfgs), axis=0)
+        for values, held in guidance._guided_step(z, 0, plan, cfgs):
+            for b, cfg in enumerate(cfgs):
+                again = _loss_and_grad(plan, values[b:b + 1], [cfg],
+                                       held.target[b], held.peaks[b],
+                                       with_grad=False)[1]
+                assert again.total.tobytes() == held.total[b:b + 1].tobytes()
+                assert_values_close(held.peaks[b],
+                                    _tape_divisors(values[b], layout))
+            maps = object_maps(values[0], layout)
+            peaks = held.peaks[0, :layout.k]
+            assert np.array_equal(peaks, np.maximum(maps.max(axis=1), EPS))
+            assert not np.any(peaks == 1.0)
 
 
 @st.composite
@@ -969,12 +1011,13 @@ def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
     layout, cfgs = problem
     plan, start = _setup(layout, BCFG, seed)
     proj = projections(seed)
-    values = _attention(plan, start.z[None])[0]
+    held = _loss_and_grad(plan, _attention(plan, start.z[None]), cfgs[:1],
+                          with_grad=False)[1]
     overrides = {}
     if with_target:
-        overrides["target"] = target_maps(values, layout, plan.masks)
+        overrides["target"] = held.target[0]
     if with_frozen:
-        overrides["frozen_norms"] = loss_norms(values, layout)
+        overrides["frozen_norms"] = held.peaks[0]
     z = np.repeat(start.z[None], len(cfgs), axis=0)
     grads = _assert_tied(plan, proj, z, layout, cfgs, **overrides)
     step = np.array([cfg.gamma * schedule(0, cfg) for cfg in cfgs])
