@@ -90,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--guided-steps", type=int, default=None)
         p.add_argument("--iters", type=int, default=None,
+                       dest="iterations_per_step", metavar="ITERS",
                        help="latent updates per guided step")
         p.add_argument("--seed", default=None,
                        help="master seed (default: LOCO_SEED or 0)")
@@ -118,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _guidance_config(args: argparse.Namespace) -> GuidanceConfig:
     """Config file values first, then flag overrides, on top of defaults."""
+    names = [f.name for f in fields(GuidanceConfig)]
     values: dict = {}
     if args.config is not None:
         text = _read_text(args.config, ContractError)
@@ -128,18 +130,15 @@ def _guidance_config(args: argparse.Namespace) -> GuidanceConfig:
                 f"config file {args.config} is not valid JSON: {err}") from None
         if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
-        known = {f.name for f in fields(GuidanceConfig)}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(names)
         if unknown:
             raise ContractError(f"unknown config fields: {sorted(unknown)}")
         values.update(doc)
-    for flag, field in [("gamma", "gamma"), ("alpha", "alpha"),
-                        ("beta", "beta"), ("guided_steps", "guided_steps"),
-                        ("iters", "iterations_per_step"),
-                        ("detach_norms", "detach_norms")]:
-        got = getattr(args, flag, None)
+    # Each guidance flag's dest is its field name; lac_normalize has no flag.
+    for name in names:
+        got = getattr(args, name, None)
         if got is not None:
-            values[field] = got
+            values[name] = got
     return GuidanceConfig(**values)
 
 

@@ -1,12 +1,14 @@
 """Command-line surface: artifacts, exit codes, config plumbing."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,20 @@ def test_config_file_and_flag_precedence(layout_file, tmp_path):
     assert summary["guidance"]["alpha"] == 0.1  # file beats default
 
 
+@pytest.mark.parametrize("command", ["generate", "bench"])
+@pytest.mark.parametrize("flag, field, value", [
+    (["--gamma", "7.5"], "gamma", 7.5),
+    (["--alpha", "0.4"], "alpha", 0.4),
+    (["--beta", "0.5"], "beta", 0.5),
+    (["--guided-steps", "3"], "guided_steps", 3),
+    (["--iters", "9"], "iterations_per_step", 9),
+    (["--detach-norms"], "detach_norms", True),
+])
+def test_each_guidance_flag_sets_its_field(command, flag, field, value):
+    built = _guidance_config(build_parser().parse_args([command] + flag))
+    assert built == replace(GuidanceConfig(), **{field: value})
+
+
 def _assert_one_error_line(captured) -> None:
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -157,6 +173,26 @@ def test_non_finite_alpha_is_one_error_line(layout_file, tmp_path, capsys,
     captured = capsys.readouterr()
     _assert_one_error_line(captured)
     assert "alpha must be nonnegative and finite" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    pytest.param(["--iters", "100000000000000000000"],
+                 "iterations_per_step must be at least 1 and at most 1000",
+                 id="iters-1e20"),
+    pytest.param(["--guided-steps", "52"],
+                 "guided_steps must be nonnegative and at most 51",
+                 id="guided-steps-52"),
+])
+def test_out_of_bounds_loop_length_is_one_error_line(layout_file, tmp_path,
+                                                     capsys, flag, message):
+    # A count of 1e20 updates per guided step would run until killed.
+    out = tmp_path / "o"
+    assert main(["generate", "--layout", str(layout_file), "--out", str(out)]
+                + flag) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert message in captured.err
     assert not out.exists()
 
 
@@ -467,3 +503,16 @@ def test_gradcheck_fails_on_a_non_finite_error(capsys, monkeypatch):
     assert main(["gradcheck", "--seed", "5", "--instances", "3"]) == 1
     err = capsys.readouterr().err
     assert "non-finite" in err and "seed=6" in err
+
+
+def test_readme_command_line_section_names_every_flag():
+    """The README's "Command line" section names exactly the options of the
+    three subcommands, so a flag change cannot leave it stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {option for sub in subparsers.choices.values()
+               for action in sub._actions for option in action.option_strings}
+    assert documented == options - {"-h", "--help"}

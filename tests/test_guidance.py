@@ -74,8 +74,13 @@ def assert_breakdowns_close(got, want):
 
 
 def test_config_validation():
+    # The loop lengths' upper edges build; one past them does not.
+    GuidanceConfig(guided_steps=BackboneConfig.total_steps,
+                   iterations_per_step=1000)
     for bad in [dict(gamma=0.0), dict(alpha=-0.1), dict(beta=1.5),
                 dict(guided_steps=-1), dict(iterations_per_step=0),
+                dict(guided_steps=BackboneConfig.total_steps + 1),
+                dict(iterations_per_step=1001),
                 dict(gamma="30"), dict(guided_steps=2.5), dict(alpha=True),
                 dict(iterations_per_step=None), dict(detach_norms=1),
                 dict(gamma=math.nan), dict(gamma=math.inf),
