@@ -39,6 +39,9 @@ from .suite import bundled_suite_dir, load_suite
 __all__ = ["build_parser", "main", "write_pgm"]
 
 GRADCHECK_TOLERANCE = 1e-4
+# The most seeds one bench call runs. A one-seed run of the bundled suite
+# takes about 2 s, so the bound is about half an hour of work.
+_MAX_BENCH_SEEDS = 1000
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -226,17 +229,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise ContractError("bench needs at least one seed per layout")
+    if not 1 <= args.seeds <= _MAX_BENCH_SEEDS:
+        raise ContractError(
+            f"--seeds {args.seeds} is outside [1, {_MAX_BENCH_SEEDS}]")
     suite_dir = args.layout if args.layout is not None else bundled_suite_dir()
     suite = load_suite(suite_dir)
     cfg = _guidance_config(args)
     seed = _seed(args)
-    try:
-        seeds = list(range(seed, seed + args.seeds))
-    except (OverflowError, MemoryError):
-        raise ContractError(
-            f"--seeds {args.seeds} is more seeds than fit in memory") from None
+    seeds = list(range(seed, seed + args.seeds))
     sweep = _gamma_sweep(args.gamma_sweep) if args.gamma_sweep else None
     report = run_benchmark(suite, cfg, BackboneConfig(), seeds,
                            gamma_sweep=sweep)

@@ -21,6 +21,7 @@ to the frozen denoiser.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -373,10 +374,18 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=None)
+def _ones_column(n: int) -> np.ndarray:
+    """A read-only (n, 1) column of ones, built once per token count."""
+    ones = np.ones((n, 1))
+    ones.flags.writeable = False
+    return ones
+
+
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """``x.sum(axis=-1, keepdims=True)`` as one product with a ones column;
     it may differ from numpy's sum in the last bits."""
-    return x @ np.ones((x.shape[-1], 1))
+    return x @ _ones_column(x.shape[-1])
 
 
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
@@ -452,14 +461,19 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     # The maps the loss divides by their floored peaks, (B, k + 2, q): the
     # k object maps, the SoT complement and the EoT map. An item without
     # lac_normalize divides its object maps by 1.0.
-    maps = _phrase_maps(a, plan.sel)
-    rows = np.concatenate((maps, 1.0 - a[:, None, :, 0], a[:, None, :, -1]),
-                          axis=1)
+    rows = np.empty((b, k + 2, q))
+    maps = rows[:, :k]
+    np.matmul(plan.sel.T, np.swapaxes(a, -1, -2), out=maps)  # _phrase_maps
+    np.subtract(1.0, a[..., 0], out=rows[:, k])
+    rows[:, k + 1] = a[..., -1]
     scaled = np.ones((b, k + 2), dtype=bool)
     scaled[:, :k] = np.array([c.lac_normalize for c in cfgs])[:, None]
     if frozen_norms is None:
-        peak = rows.argmax(axis=-1)[..., None]  # the first max entry
-        top = np.take_along_axis(rows, peak, axis=-1)[..., 0]
+        # Each row's first max entry, read by one flat fancy index: row r
+        # of the (B * (k + 2), q) view is rows[r // (k + 2), r % (k + 2)].
+        cells = np.arange(b * (k + 2)).reshape(b, k + 2)
+        peak = rows.argmax(axis=-1)
+        top = rows.reshape(-1, q)[cells, peak]
         won = top >= EPS
         peaks = np.where(won, top, EPS)
     else:
@@ -486,21 +500,28 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
             raise ShapeError(
                 f"target shape {y.shape} does not match map {(q, 1)}")
     decay = np.exp(-np.abs(a_pt))
-    s = np.where(a_pt >= 0, 1.0 / (1.0 + decay), decay / (1.0 + decay))
-    p = np.clip(s, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    rise = 1.0 + decay
+    s = np.where(a_pt >= 0, 1.0 / rise, decay / rise)
+    # np.clip, and then the mean as sum / count, which is how np.mean
+    # computes it: the same bits without the wrappers' overhead.
+    p = np.maximum(s, BCE_CLAMP)
+    np.minimum(p, 1.0 - BCE_CLAMP, out=p)
+    not_p = 1.0 - p
     not_y = 1.0 - y
-    ptc = -(y * np.log(p) + not_y * np.log(1.0 - p)).mean(axis=-1)
+    ptc = -(y * np.log(p) + not_y * np.log(not_p)).sum(axis=-1) / q
     total = lac + alpha * ptc
 
     terms = _Terms(lac, ptc, total, inbox / np.maximum(every, EPS), y, peaks)
     if not with_grad:
         return None, terms
 
-    # The adjoint of each rescaled row, rows / norms.
+    # The adjoint of each rescaled row, rows / norms. The clamp passes an
+    # adjoint where it left s unchanged, that is where p == s: that is
+    # BCE_CLAMP <= s <= 1 - BCE_CLAMP, and false for a NaN s as well.
     g_num = -2.0 * short / den_floor
     g_den = -g_num * num / den_floor * (den >= EPS)
-    g_pt = ((alpha / q)[:, None] * (not_y / (1.0 - p) - y / p)
-            * ((s >= BCE_CLAMP) & (s <= 1.0 - BCE_CLAMP)) * s * (1.0 - s))
+    g_pt = ((alpha / q)[:, None] * (not_y / not_p - y / p)
+            * (p == s) * s * (1.0 - s))
     g_u = np.empty_like(rows)
     g_u[:, :k] = g_num[:, None, None] * plan.flats + g_den[:, None, None]
     g_u[:, k] = beta * g_pt
@@ -510,10 +531,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
         # Each divisor's adjoint, added at the entry its peak was read from.
         g_norms = -(g_u * rows).sum(axis=-1) / (norms * norms)
         g_norms *= scaled & won
-        np.put_along_axis(
-            g_rows, peak,
-            np.take_along_axis(g_rows, peak, axis=-1) + g_norms[..., None],
-            axis=-1)
+        g_rows.reshape(-1, q)[cells, peak] += g_norms
     g_a = np.swapaxes(g_rows[:, :k], 1, 2) @ plan.sel.T
     g_a[..., 0] -= g_rows[:, k]
     g_a[..., -1] += g_rows[:, k + 1]
@@ -597,7 +615,7 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
                             "detach_norms and iterations_per_step")
     rho = backbone.rho
     e_v = plan.keys
-    value_rms = float(np.sqrt(np.mean(e_v * e_v)))
+    value_rms = float(np.sqrt((e_v * e_v).sum() / e_v.size))  # as np.mean
     # The stack and one work array, for the guided steps' gradients and
     # then the denoise's increments: the updates, the denoise and the noise
     # write into them in place, the same operations as fresh arrays without

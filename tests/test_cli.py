@@ -320,8 +320,8 @@ def test_bench_gamma_sweep_rejects_non_numbers(small_suite_dir, tmp_path,
 
 
 # Seed counts whose seed list cannot be built: 1e20 overflows a list's
-# length, and 2**62 seeds would take 2**65 bytes, refused before any memory
-# is allocated.
+# length, and 2**62 seeds would take 2**65 bytes. The seed bound refuses
+# them before any list is built.
 @pytest.mark.parametrize("count", [10 ** 20, 2 ** 62])
 def test_bench_rejects_a_seed_count_that_cannot_be_listed(
         small_suite_dir, tmp_path, capsys, count):
@@ -331,6 +331,25 @@ def test_bench_rejects_a_seed_count_that_cannot_be_listed(
     captured = capsys.readouterr()
     _assert_one_error_line(captured)
     assert f"--seeds {count}" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, cli._MAX_BENCH_SEEDS + 1, 10 ** 6])
+def test_bench_seed_count_outside_its_bound_runs_nothing(
+        small_suite_dir, tmp_path, capsys, monkeypatch, count):
+    # A million seeds is 24 million layout-seed stacks: it would run until
+    # killed. The bound is checked before the suite is even read.
+    def no_run(*args, **kwargs):
+        raise AssertionError("an out-of-bound seed count started a run")
+
+    monkeypatch.setattr(cli, "load_suite", no_run)
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    out = tmp_path / "bench"
+    assert main(["bench", "--layout", str(small_suite_dir), "--out", str(out),
+                 "--seeds", str(count)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"--seeds {count} is outside [1, 1000]" in captured.err
     assert not out.exists()
 
 
@@ -354,6 +373,25 @@ def test_non_utf8_input_file_is_one_error_line(layout_file, tmp_path, capsys,
     captured = capsys.readouterr()
     _assert_one_error_line(captured)
     assert bad.name in captured.err and "utf-8" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, cli._MAX_BENCH_SEEDS + 1, 10 ** 6])
+def test_bench_seed_count_outside_its_bound_runs_nothing(
+        small_suite_dir, tmp_path, capsys, monkeypatch, count):
+    # A million seeds is 24 million layout-seed stacks: it would run until
+    # killed. The bound is checked before the suite is even read.
+    def no_run(*args, **kwargs):
+        raise AssertionError("an out-of-bound seed count started a run")
+
+    monkeypatch.setattr(cli, "load_suite", no_run)
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    out = tmp_path / "bench"
+    assert main(["bench", "--layout", str(small_suite_dir), "--out", str(out),
+                 "--seeds", str(count)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"--seeds {count} is outside [1, 1000]" in captured.err
     assert not out.exists()
 
 

@@ -18,8 +18,8 @@ from loco import diffmath as dm
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (EPS, FD_STEP, GuidanceConfig, _attention,
-                           _breakdowns, _check_instance, _loss_and_grad,
+from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig,
+                           _attention, _breakdowns, _check_instance, _loss_and_grad,
                            _noise_draws, _setup, _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, object_attention,
@@ -1073,3 +1073,28 @@ def test_loss_ties_the_tape_where_the_object_maps_vanish():
     proj = projections(0)
     for name in ("lac_wo_norm", "mixed_normalize"):
         _assert_tied(plan, proj, z, LAYOUT, TIE_STACKS[name])
+
+
+def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
+    """Where sigmoid(a_pt) rises above ``1 - BCE_CLAMP``, the clamp holds p
+    and passes no adjoint back; the loss still ties the tape there.
+
+    The pad divisors are held at 1/20 of the start latent's peaks, so a_pt
+    reaches about 20 where the SoT complement peaks. There s lies in
+    ``(1 - BCE_CLAMP, 1)``, while most cells stay inside the clamp.
+    """
+    plan, start = _setup(LAYOUT, BCFG, 0)
+    values = _attention(plan, start.z[None])
+    frozen = _loss_and_grad(plan, values, [GuidanceConfig()],
+                            with_grad=False)[1].peaks[0].copy()
+    frozen[-2:] /= 20.0
+    beta = GuidanceConfig().beta
+    a_pt = (beta * (1.0 - values[0, :, 0]) / frozen[-2]
+            + (1.0 - beta) * values[0, :, -1] / frozen[-1])
+    s = 1.0 / (1.0 + np.exp(-a_pt))
+    assert ((s > 1.0 - BCE_CLAMP) & (s < 1.0)).sum() > 10
+    assert (s < 1.0 - BCE_CLAMP).sum() > 10
+    z = np.repeat(start.z[None], 3, axis=0)
+    proj = projections(0)
+    for cfgs in TIE_STACKS.values():
+        _assert_tied(plan, proj, z, LAYOUT, cfgs, frozen_norms=frozen)
