@@ -42,6 +42,9 @@ GRADCHECK_TOLERANCE = 1e-4
 # The most seeds one bench call runs. A one-seed run of the bundled suite
 # takes about 2 s, so the bound is about half an hour of work.
 _MAX_BENCH_SEEDS = 1000
+# The most instances one gradcheck call checks. An instance is two 8x8
+# checks, about 15 ms, so the bound is well under a minute of work.
+_MAX_GRADCHECK_INSTANCES = 1000
 
 
 def _seed(args: argparse.Namespace) -> int:
@@ -259,8 +262,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.instances < 1:
-        raise ContractError("gradcheck needs at least one instance")
+    if not 1 <= args.instances <= _MAX_GRADCHECK_INSTANCES:
+        raise ContractError(f"--instances {args.instances} is outside "
+                            f"[1, {_MAX_GRADCHECK_INSTANCES}]")
     seed = _seed(args)
     modes = [True] if args.detach_norms else [False, True]
     rng = np.random.default_rng(seed)

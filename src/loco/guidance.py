@@ -320,7 +320,9 @@ class _Plan:
     keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
     fold: np.ndarray  # (d_z, n): W_q K^T / sqrt(d), so logits = z @ fold
     fold_t: np.ndarray  # (n, d_z): fold^T, C-contiguous, for the backward
-    sel: np.ndarray  # (n, k) phrase selector
+    # (n, k + 2): the phrase selector's k columns, then -1 at SoT and +1 at
+    # EoT, so one product gives every row the loss divides by its peak.
+    sel_ext: np.ndarray
     flats: np.ndarray  # (k, q) box masks
 
 
@@ -345,10 +347,12 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     # the two projections fold into one (d_z, n) map.
     fold = (proj.w_q @ keys.T) / sqrt(proj.w_q.shape[1])
     masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
+    pads = np.zeros((tokens.n, 2))
+    pads[0, 0], pads[-1, 1] = -1.0, 1.0
     plan = _Plan(
         tokens=tokens, keys=keys, fold=fold,
         fold_t=np.ascontiguousarray(fold.T),
-        sel=_phrase_selector(layout.phrases, tokens.n),
+        sel_ext=np.hstack((_phrase_selector(layout.phrases, tokens.n), pads)),
         flats=_flat_masks(masks, backbone.q))
     return plan, init_latent(backbone, seeds.latent)
 
@@ -418,15 +422,58 @@ def _breakdowns(terms: _Terms) -> list[LossBreakdown]:
             for l, c, t, f in zip(*(x.tolist() for x in terms[:4]))]
 
 
-def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
+@dataclass(frozen=True)
+class _Stack:
+    """The per-item constants of a stack's loss, built once per stack by
+    ``_Stack.of`` (a guided step's live items, a gradient check's
+    differences) instead of once per loss call. Its length is the number
+    of items."""
+
+    alpha: np.ndarray  # (B,)
+    ce_weight: np.ndarray  # (B, 1): alpha / q, the cross-entropy's weight
+    scaled: np.ndarray  # (B, k + 2) bool: the rows divided by their peak
+    # (B, k + 2): where each row starts in the flat view of the (B, k + 2, q)
+    # rows the loss divides by their peaks
+    starts: np.ndarray
+    blend: np.ndarray  # (2,): beta and 1 - beta, the pad rows' weights
+    detach_norms: bool
+
+    @classmethod
+    def of(cls, plan: _Plan, cfgs: Sequence[GuidanceConfig]) -> _Stack:
+        """The constants of a stack whose item b uses ``cfgs[b]``. The items
+        share ``beta`` and ``detach_norms`` (``_trajectories`` checks it)
+        and take the rest from their own config."""
+        b = len(cfgs)
+        k, q = plan.flats.shape
+        alpha = np.array([c.alpha for c in cfgs], dtype=np.float64)
+        # An item without lac_normalize divides its object maps by 1.0.
+        scaled = np.ones((b, k + 2), dtype=bool)
+        scaled[:, :k] = np.array([c.lac_normalize for c in cfgs])[:, None]
+        beta = float(cfgs[0].beta)
+        return cls(alpha=alpha, ce_weight=(alpha / q)[:, None],
+                   scaled=scaled,
+                   starts=np.arange(0, b * (k + 2) * q, q).reshape(b, k + 2),
+                   blend=np.array([beta, 1.0 - beta]),
+                   detach_norms=cfgs[0].detach_norms)
+
+    def __len__(self) -> int:
+        return self.alpha.shape[0]
+
+    def prefix(self, m: int) -> _Stack:
+        """The stack of the first m items."""
+        return replace(self, alpha=self.alpha[:m],
+                       ce_weight=self.ce_weight[:m], scaled=self.scaled[:m],
+                       starts=self.starts[:m])
+
+
+def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
                    target: np.ndarray | None = None,
                    frozen_norms: np.ndarray | None = None,
                    with_grad: bool = True, out: np.ndarray | None = None
                    ) -> tuple[np.ndarray | None, _Terms]:
     """``loco_loss`` at a stack of attention values a, (B, q, n), and its
     gradient with respect to the latents, (B, q, d_z), in closed form; item
-    b uses ``cfgs[b]``. The items share ``beta`` and ``detach_norms``
-    (``_trajectories`` checks it) and take the rest from their own config.
+    b uses the constants of ``stack`` (``_Stack.of`` the items' configs).
 
     ``a`` is ``_attention`` of the latents; the loss reads only it, and the
     backward ends in ``plan.fold_t``, so no latent is needed. Returns the
@@ -447,94 +494,92 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, cfgs: Sequence[GuidanceConfig],
     ``target`` and ``frozen_norms`` at the same attention, an item's
     constants reproduce its terms.
     """
-    if len(cfgs) != a.shape[0]:
+    if len(stack) != a.shape[0]:
         raise ContractError("a stacked loss needs one config per latent")
-    k = plan.sel.shape[1]
+    k = plan.flats.shape[0]
     if k == 0:
         raise ContractError("layout has no objects")
     b, q = a.shape[:2]
-    alpha = np.array([c.alpha for c in cfgs], dtype=np.float64)
-    beta = float(cfgs[0].beta)
     # Detached or frozen divisors are constants: no adjoint reaches them.
-    held = cfgs[0].detach_norms or frozen_norms is not None
+    held = stack.detach_norms or frozen_norms is not None
 
     # The maps the loss divides by their floored peaks, (B, k + 2, q): the
-    # k object maps, the SoT complement and the EoT map. An item without
-    # lac_normalize divides its object maps by 1.0.
-    rows = np.empty((b, k + 2, q))
+    # k object maps, the SoT complement and the EoT map, as one product with
+    # the extended selector, which leaves -SoT in row k.
+    rows = plan.sel_ext.T @ a.swapaxes(-1, -2)
+    rows[:, k] += 1.0
     maps = rows[:, :k]
-    np.matmul(plan.sel.T, np.swapaxes(a, -1, -2), out=maps)  # _phrase_maps
-    np.subtract(1.0, a[..., 0], out=rows[:, k])
-    rows[:, k + 1] = a[..., -1]
-    scaled = np.ones((b, k + 2), dtype=bool)
-    scaled[:, :k] = np.array([c.lac_normalize for c in cfgs])[:, None]
     if frozen_norms is None:
-        # Each row's first max entry, read by one flat fancy index: row r
-        # of the (B * (k + 2), q) view is rows[r // (k + 2), r % (k + 2)].
-        cells = np.arange(b * (k + 2)).reshape(b, k + 2)
-        peak = rows.argmax(axis=-1)
-        top = rows.reshape(-1, q)[cells, peak]
+        # Each row's first max entry, read by one flat fancy index.
+        spot = stack.starts + rows.argmax(axis=-1)
+        top = rows.reshape(-1)[spot]
         won = top >= EPS
         peaks = np.where(won, top, EPS)
     else:
         peaks = np.asarray(frozen_norms, dtype=np.float64)
-    norms = np.where(scaled, peaks, 1.0)
+    norms = np.where(stack.scaled, peaks, 1.0)
 
-    # lac: the in-box share of the rescaled object mass.
+    # lac: the in-box share of the rescaled object mass, its numerator and
+    # denominator reduced together from one (B, 2, k) array. The reductions
+    # call np.add.reduce and np.maximum.reduce, as the sum and max methods
+    # do, without the methods' Python wrapper.
     masked = maps * plan.flats
-    inbox, every = masked.sum(axis=-1), maps.sum(axis=-1)  # (B, k)
-    num = (inbox / norms[:, :k]).sum(axis=-1)
-    den = (every / norms[:, :k]).sum(axis=-1)
+    mass = np.empty((b, 2, k))
+    np.add.reduce(masked, -1, out=mass[:, 0])
+    np.add.reduce(maps, -1, out=mass[:, 1])
+    num, den = np.add.reduce(mass / norms[:, None, :k], -1).T
     den_floor = np.maximum(den, EPS)
-    short = 1.0 - num / den_floor
+    ratio = num / den_floor
+    short = 1.0 - ratio
     lac = short * short
 
     # ptc: cross-entropy of the blended rescaled SoT complement and EoT map.
     pads = rows[:, k:] / norms[:, k:, None]
-    a_pt = beta * pads[:, 0] + (1.0 - beta) * pads[:, 1]
+    a_pt = stack.blend[0] * pads[:, 0] + stack.blend[1] * pads[:, 1]
     if target is None:
-        y = masked.max(axis=1)
+        y = np.maximum.reduce(masked, 1)
     else:
         y = np.asarray(target, dtype=np.float64).reshape(-1)
         if y.shape != (q,):
             raise ShapeError(
                 f"target shape {y.shape} does not match map {(q, 1)}")
-    decay = np.exp(-np.abs(a_pt))
-    rise = 1.0 + decay
-    s = np.where(a_pt >= 0, 1.0 / rise, decay / rise)
+    # a_pt >= 0 (its rows lie in [0, 1], its divisors are positive), so
+    # the sigmoid needs no branch for negative inputs.
+    s = 1.0 / (1.0 + np.exp(-a_pt))
     # np.clip, and then the mean as sum / count, which is how np.mean
     # computes it: the same bits without the wrappers' overhead.
     p = np.maximum(s, BCE_CLAMP)
     np.minimum(p, 1.0 - BCE_CLAMP, out=p)
-    not_p = 1.0 - p
-    not_y = 1.0 - y
-    ptc = -(y * np.log(p) + not_y * np.log(not_p)).sum(axis=-1) / q
-    total = lac + alpha * ptc
+    ptc = -np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), -1) / q
+    total = lac + stack.alpha * ptc
 
+    inbox, every = mass[:, 0], mass[:, 1]
     terms = _Terms(lac, ptc, total, inbox / np.maximum(every, EPS), y, peaks)
     if not with_grad:
         return None, terms
 
-    # The adjoint of each rescaled row, rows / norms. The clamp passes an
-    # adjoint where it left s unchanged, that is where p == s: that is
+    # The adjoint of each row. The cross-entropy's adjoint at a_pt is the
+    # sigmoid's natural alpha / q * (s - y), which the clamp passes where it
+    # left s unchanged, that is where p == s: that is
     # BCE_CLAMP <= s <= 1 - BCE_CLAMP, and false for a NaN s as well.
     g_num = -2.0 * short / den_floor
-    g_den = -g_num * num / den_floor * (den >= EPS)
-    g_pt = ((alpha / q)[:, None] * (not_y / not_p - y / p)
-            * (p == s) * s * (1.0 - s))
-    g_u = np.empty_like(rows)
-    g_u[:, :k] = g_num[:, None, None] * plan.flats + g_den[:, None, None]
-    g_u[:, k] = beta * g_pt
-    g_u[:, k + 1] = (1.0 - beta) * g_pt
-    g_rows = g_u / norms[..., None]
+    g_den = -g_num * ratio * (den >= EPS)
+    g_pt = stack.ce_weight * (s - y) * (p == s)
+    g_rows = np.empty_like(rows)
+    np.divide(g_num[:, None, None] * plan.flats + g_den[:, None, None],
+              norms[:, :k, None], out=g_rows[:, :k])
+    # Each pad row's adjoint: its blend weight over its divisor, times g_pt.
+    w = stack.blend / norms[:, k:]
+    np.multiply(w[..., None], g_pt[:, None], out=g_rows[:, k:])
     if not held:
-        # Each divisor's adjoint, added at the entry its peak was read from.
-        g_norms = -(g_u * rows).sum(axis=-1) / (norms * norms)
-        g_norms *= scaled & won
-        g_rows.reshape(-1, q)[cells, peak] += g_norms
-    g_a = np.swapaxes(g_rows[:, :k], 1, 2) @ plan.sel.T
-    g_a[..., 0] -= g_rows[:, k]
-    g_a[..., -1] += g_rows[:, k + 1]
+        # Each divisor's adjoint, -(g_rows . rows) / norm, added at the
+        # entry its peak was read from.
+        g_norms = np.add.reduce(g_rows * rows, -1) / norms
+        g_norms *= stack.scaled & won
+        g_rows.reshape(-1)[spot] -= g_norms
+    # One product with the extended selector: the object columns, and the
+    # pad rows' adjoints at SoT (negated) and EoT.
+    g_a = g_rows.swapaxes(1, 2) @ plan.sel_ext.T
 
     # Backward through the softmax and the folded projections.
     g_logits = a * (g_a - _row_sum(g_a * a))
@@ -550,23 +595,25 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     The live items, those with ``index < guided_steps``, lead the stack
     (``_trajectories`` checks the order), so they are the prefix ``z[:m]``;
     the items after them keep their latent. The live items take their
-    updates together, one stacked loss call per iteration, each gradient
-    written into ``grad[:m]`` (a fresh array per call when no ``grad`` is
-    given). After each iteration's update it yields ``(values, terms)``:
-    the (m, q, n) attention values the update read, a fresh array, and the
-    live items' loss terms. With no live item it yields nothing.
+    updates together, one stacked loss call per iteration on constants
+    built once for the step, each gradient written into ``grad[:m]`` (a
+    fresh array per call when no ``grad`` is given). After each iteration's
+    update it yields ``(values, terms)``: the (m, q, n) attention values
+    the update read, a fresh array, and the live items' loss terms. With no
+    live item it yields nothing.
     """
     m = sum(index < cfg.guided_steps for cfg in cfgs)
     if not m:
         return
     zr, part = z[:m], cfgs[:m]
     out = None if grad is None else grad[:m]
+    stack = _Stack.of(plan, part)
     # update_latent's step, gamma * lambda, per item.
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
     for _ in range(part[0].iterations_per_step):
         values = _attention(plan, zr)
-        g, terms = _loss_and_grad(plan, values, part, out=out)
+        g, terms = _loss_and_grad(plan, values, stack, out=out)
         g *= step
         zr -= g
         yield values, terms
@@ -762,34 +809,44 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     plan, cfg, z0 = _check_instance(seed, resolution, content_words,
                                     n_objects, detach_norms)
 
+    q, d_z = z0.shape
+    flat = z0.reshape(-1)
+    width = 2 * min(_FD_CHUNK, flat.size)
+    consts = _Stack.of(plan, [cfg] * width)
     base = _attention(plan, z0[None])
-    grads, held = _loss_and_grad(plan, base, [cfg])
+    grads, held = _loss_and_grad(plan, base, consts.prefix(1))
     analytic, target = grads[0], held.target[0]
     norms = held.peaks[0] if detach_norms else None
 
-    q, d_z = z0.shape
-    flat = z0.reshape(-1)
+    # The items of every chunk, built once: a chunk of c coordinates stacks
+    # their +step latents, then their -step latents.
+    starts = range(0, flat.size, _FD_CHUNK)
+    chunks = [np.arange(s, min(s + _FD_CHUNK, flat.size)) for s in starts]
+    coords = np.concatenate([np.tile(idx, 2) for idx in chunks])
+    all_pixels, all_channels = np.divmod(coords, d_z)
+    moved = flat[coords] + np.concatenate(
+        [np.repeat((FD_STEP, -FD_STEP), idx.size) for idx in chunks])
+    items = np.arange(width)
+
     numeric = np.empty(flat.size)
-    stack = np.repeat(base, 2 * min(_FD_CHUNK, flat.size), axis=0)
-    for start in range(0, flat.size, _FD_CHUNK):
-        idx = np.arange(start, min(start + _FD_CHUNK, flat.size))
+    stack = np.repeat(base, width, axis=0)
+    for start, idx in zip(starts, chunks):
         c = idx.size
-        items = np.arange(2 * c)
-        pixels, channels = np.divmod(np.tile(idx, 2), d_z)
+        part = slice(2 * start, 2 * (start + c))
+        live, pixels = items[:2 * c], all_pixels[part]
         rows = z0[pixels]
-        rows[items, channels] = np.concatenate(
-            (flat[idx] + FD_STEP, flat[idx] - FD_STEP))
+        rows[live, all_channels[part]] = moved[part]
         # Two or more rows of one product take the bits they take inside
         # the q-row forward; a lone row would go through another BLAS
         # kernel. At q = 1 each row is a whole latent, so it keeps the
         # stacked forward's shape.
         shape = (2 * c, 1, d_z) if q == 1 else (1, 2 * c, d_z)
         a = stack[:2 * c]
-        a[items, pixels] = _attention(plan, rows.reshape(shape)).reshape(
+        a[live, pixels] = _attention(plan, rows.reshape(shape)).reshape(
             2 * c, -1)
-        totals = _loss_and_grad(plan, a, [cfg] * (2 * c), target, norms,
+        totals = _loss_and_grad(plan, a, consts.prefix(2 * c), target, norms,
                                 with_grad=False)[1].total
-        a[items, pixels] = base[0, pixels]
+        a[live, pixels] = base[0, pixels]
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 

@@ -15,7 +15,7 @@ from loco.backbone import BackboneConfig, cross_attention
 from loco.cli import main
 from loco.diffmath import Tape
 from loco.evaluate import cross_mass_probe, run_benchmark
-from loco.guidance import (GuidanceConfig, _attention, _breakdowns,
+from loco.guidance import (GuidanceConfig, _Stack, _attention, _breakdowns,
                            _guided_step, _loss_and_grad, _setup,
                            gradient_check, guided_sample, lac_loss, loco_loss,
                            ptc_maps, update_latent)
@@ -32,7 +32,8 @@ SUITE_SEEDS = range(5)
 def shipped_terms(plan, values, cfg):
     """The guided loop's loss terms (lac, ptc, total, in-box fractions) at
     one (q, n) attention array, as ``_guided_step`` computes them."""
-    _, terms = _loss_and_grad(plan, values[None], [cfg], with_grad=False)
+    _, terms = _loss_and_grad(plan, values[None], _Stack.of(plan, [cfg]),
+                              with_grad=False)
     return [x[0] for x in terms[:4]]
 
 
@@ -210,7 +211,8 @@ def test_criterion_8_endpoint_checks():
     values = rng.dirichlet(np.ones(5), size=256)
 
     no_ptc = replace(GCFG, alpha=0.0)
-    _, terms = _loss_and_grad(plan, values[None], [no_ptc], with_grad=False)
+    _, terms = _loss_and_grad(plan, values[None],
+                              _Stack.of(plan, [no_ptc]), with_grad=False)
     [shipped] = _breakdowns(terms)
     assert shipped.total == shipped.lac  # exact float equality
     _, breakdown = loco_loss(make_attention(values), layout, masks, no_ptc)

@@ -334,25 +334,6 @@ def test_bench_rejects_a_seed_count_that_cannot_be_listed(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("count", [0, cli._MAX_BENCH_SEEDS + 1, 10 ** 6])
-def test_bench_seed_count_outside_its_bound_runs_nothing(
-        small_suite_dir, tmp_path, capsys, monkeypatch, count):
-    # A million seeds is 24 million layout-seed stacks: it would run until
-    # killed. The bound is checked before the suite is even read.
-    def no_run(*args, **kwargs):
-        raise AssertionError("an out-of-bound seed count started a run")
-
-    monkeypatch.setattr(cli, "load_suite", no_run)
-    monkeypatch.setattr(cli, "run_benchmark", no_run)
-    out = tmp_path / "bench"
-    assert main(["bench", "--layout", str(small_suite_dir), "--out", str(out),
-                 "--seeds", str(count)]) == 1
-    captured = capsys.readouterr()
-    _assert_one_error_line(captured)
-    assert f"--seeds {count} is outside [1, 1000]" in captured.err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("command", ["generate --layout", "generate --config",
                                      "bench --layout"])
 def test_non_utf8_input_file_is_one_error_line(layout_file, tmp_path, capsys,
@@ -393,6 +374,23 @@ def test_bench_seed_count_outside_its_bound_runs_nothing(
     _assert_one_error_line(captured)
     assert f"--seeds {count} is outside [1, 1000]" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, cli._MAX_GRADCHECK_INSTANCES + 1,
+                                   10 ** 20])
+def test_gradcheck_instance_count_outside_its_bound_runs_nothing(
+        capsys, monkeypatch, count):
+    # 10**20 instances would run until killed; the bound is checked before
+    # the first check starts.
+    def no_check(*args, **kwargs):
+        raise AssertionError("an out-of-bound instance count ran a check")
+
+    monkeypatch.setattr(cli, "gradient_check", no_check)
+    assert main(["gradcheck", "--instances", str(count)]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"--instances {count} is outside [1, 1000]" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["generate --layout", "generate --config",

@@ -1,5 +1,7 @@
 """Label decoding, detection, metrics, and the benchmark harness."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,12 @@ from loco.evaluate import (ARMS, Detection, _evaluate, _record,
                            detect_regions, iou, layout_metrics, run_benchmark)
 from loco.guidance import (GuidanceConfig, _loss_and_grad, _trajectories,
                            guided_sample, object_maps)
-from loco.layout import BoundingBox, parse_layout, rasterize_box
+from loco.layout import (BoundingBox, layout_from_dict, parse_layout,
+                         rasterize_box)
 from loco.suite import bundled_suite_dir, load_suite
 
 from oracles import connected_components
+from tree_compare import compare
 
 LAYOUT = parse_layout("""{
   "prompt": "cat beside dog",
@@ -358,6 +362,48 @@ def test_bundled_suite_composition():
     assert sum(name.startswith("fusion_") for name, _ in suite) >= 6
     assert sum(bool(layout.relations) for _, layout in suite) >= 8
     assert any(len(p.span) > 1 for _, layout in suite for p in layout.phrases)
+
+
+def _reversed_objects(doc):
+    """A layout document with its objects in reverse order and its
+    relations re-indexed to match."""
+    k = len(doc["objects"])
+    return {**doc, "objects": doc["objects"][::-1],
+            "relations": [{**r, "a": k - 1 - r["a"], "b": k - 1 - r["b"]}
+                          for r in doc.get("relations", [])]}
+
+
+def _objects_reversed(record):
+    """A record with its object scores and cross-box masses indexed in the
+    reverse object order."""
+    k = len(record["objects"])
+    return {**record,
+            "objects": [{**o, "index": k - 1 - o["index"]}
+                        for o in record["objects"][::-1]],
+            "cross_box_mass": [row[::-1]
+                               for row in record["cross_box_mass"][::-1]]}
+
+
+def test_records_do_not_depend_on_the_object_order():
+    """Reversing each suite layout's objects, with its relations re-indexed,
+    only permutes each record's object scores: discrete fields are equal
+    and floats (loss curves, IoUs, masses) tie at the output tolerance. One
+    seed; each stack runs the default and lac_wo_norm configs among its
+    arms. No oracle is involved, so this ties the closed form's index
+    plumbing (selector columns, box rows, peaks, relations) on its own."""
+    docs = {path.stem: json.loads(path.read_text())
+            for path in sorted(bundled_suite_dir().glob("*.json"))}
+
+    def records(edit):
+        suite = [(name, layout_from_dict(edit(doc)))
+                 for name, doc in docs.items()]
+        return run_benchmark(suite, GuidanceConfig(), BackboneConfig(),
+                             seeds=[0]).records
+
+    diff = compare(records(lambda doc: doc),
+                   [_objects_reversed(r) for r in records(_reversed_objects)])
+    assert diff.within(), diff.verdict()
+    assert diff.floats > 0
 
 
 def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(

@@ -18,7 +18,7 @@ from loco import diffmath as dm
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config
 from loco import guidance
-from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig,
+from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig, _Stack,
                            _attention, _breakdowns, _check_instance, _loss_and_grad,
                            _noise_draws, _setup, _trajectories,
                            gradient_check, guided_sample,
@@ -234,7 +234,7 @@ def test_frozen_norms_match_detached_gradient():
     detached_grad = tape.backward(loss)[z]
 
     plan, _ = _setup(LAYOUT, BCFG, 0)
-    frozen = _loss_and_grad(plan, attn.value[None], [cfg],
+    frozen = _loss_and_grad(plan, attn.value[None], _Stack.of(plan, [cfg]),
                             with_grad=False)[1].peaks[0]
     tape2 = Tape()
     z2 = tape2.leaf(z0)
@@ -248,7 +248,8 @@ def test_held_target_structure():
     rng = np.random.default_rng(10)
     values = rng.dirichlet(np.ones(5), size=256)
     plan, _ = _setup(LAYOUT, BCFG, 0)
-    target = _loss_and_grad(plan, values[None], [GuidanceConfig()],
+    target = _loss_and_grad(plan, values[None],
+                            _Stack.of(plan, [GuidanceConfig()]),
                             with_grad=False)[1].target[0]
     assert target.shape == (256,)
     flats = np.stack([m.reshape(-1) for m in MASKS])
@@ -648,6 +649,29 @@ def test_stacked_run_equals_each_items_solo_run():
                 _assert_same_run(track, solo[cfg])
 
 
+def test_stack_with_a_shrinking_live_prefix_equals_each_items_solo_run():
+    """The live prefix shrinks from three items to two (after 3 guided
+    steps) to one (after 6) to none (after 10), and the live items differ
+    in alpha and lac_normalize: each step's loss constants must be its own
+    live items'. Every item is bit-identical to its solo run."""
+    stack = [GuidanceConfig(),
+             replace(arm_config(GuidanceConfig(), "lac_wo_norm"),
+                     guided_steps=6),
+             replace(arm_config(GuidanceConfig(), "lac"), guided_steps=3),
+             arm_config(GuidanceConfig(), "none")]
+    suite = dict(load_suite(bundled_suite_dir()))
+    for name in ("fusion_cup_hat", "triple_phrases"):
+        for seed in (0, 1):
+            tracks = _stacked_run(suite[name], stack, seed)
+            for cfg, track in zip(stack, tracks):
+                run = guided_sample(suite[name], cfg, BCFG, seed)
+                _assert_same_run(track, run)
+                assert track.z.tobytes() == run.final_z.tobytes()
+                assert [len(step.losses) for step in track.steps] == (
+                    [5] * cfg.guided_steps
+                    + [0] * (BCFG.total_steps - cfg.guided_steps))
+
+
 @pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None,
                                   Seeds.from_master(0)])
 def test_bad_seed_raises_contract_error(seed):
@@ -756,12 +780,13 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
     the target (and, detached, the divisors) held at the base point."""
     plan, cfg, z0 = _check_instance(5, resolution, words, objects, detach)
     values = _attention(plan, z0[None])
-    grads, held = _loss_and_grad(plan, values, [cfg])
+    grads, held = _loss_and_grad(plan, values, _Stack.of(plan, [cfg]))
     target = held.target[0]
     frozen = held.peaks[0] if detach else None
 
     def f(z):
-        return _loss_and_grad(plan, _attention(plan, z[None]), [cfg], target,
+        return _loss_and_grad(plan, _attention(plan, z[None]),
+                              _Stack.of(plan, [cfg]), target,
                               frozen, with_grad=False)[1].total[0]
 
     result = gradient_check(5, resolution=resolution, content_words=words,
@@ -849,7 +874,8 @@ def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
     """Each item's gradient, breakdown and attention in a stacked call tie
     the tape's, on projections ``proj``, on that item's latent."""
     values = _attention(plan, z)
-    grads, terms = _loss_and_grad(plan, values, cfgs, **overrides)
+    grads, terms = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
+                                  **overrides)
     breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
@@ -857,8 +883,8 @@ def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
         assert rel_error(grad, want[0]) <= grad_rtol
         assert_breakdowns_close([breakdown], [want[1]])
         assert_values_close(value, want[2])
-    forward = _loss_and_grad(plan, values, cfgs, with_grad=False,
-                             **overrides)[1]
+    forward = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
+                             with_grad=False, **overrides)[1]
     assert _breakdowns(forward) == breakdowns
     return grads
 
@@ -926,7 +952,8 @@ def test_closed_form_gradient_is_the_tape_gradient_with_overrides():
     rng = np.random.default_rng(11)
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     held = _loss_and_grad(plan, _attention(plan, z0[None]),
-                          [GuidanceConfig()], with_grad=False)[1]
+                          _Stack.of(plan, [GuidanceConfig()]),
+                          with_grad=False)[1]
     target, frozen = held.target[0], held.peaks[0]
     z1 = z0 + 1e-3 * rng.standard_normal(z0.shape)
     for overrides in ({}, {"target": target}, {"frozen_norms": frozen},
@@ -967,7 +994,8 @@ def test_held_constants_reproduce_the_loss_and_tie_the_tape(detach):
         z = np.repeat(start.z[None], len(cfgs), axis=0)
         for values, held in guidance._guided_step(z, 0, plan, cfgs):
             for b, cfg in enumerate(cfgs):
-                again = _loss_and_grad(plan, values[b:b + 1], [cfg],
+                again = _loss_and_grad(plan, values[b:b + 1],
+                                       _Stack.of(plan, [cfg]),
                                        held.target[b], held.peaks[b],
                                        with_grad=False)[1]
                 assert again.total.tobytes() == held.total[b:b + 1].tobytes()
@@ -1016,7 +1044,8 @@ def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
     layout, cfgs = problem
     plan, start = _setup(layout, BCFG, seed)
     proj = projections(seed)
-    held = _loss_and_grad(plan, _attention(plan, start.z[None]), cfgs[:1],
+    held = _loss_and_grad(plan, _attention(plan, start.z[None]),
+                          _Stack.of(plan, cfgs[:1]),
                           with_grad=False)[1]
     overrides = {}
     if with_target:
@@ -1085,7 +1114,8 @@ def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
     """
     plan, start = _setup(LAYOUT, BCFG, 0)
     values = _attention(plan, start.z[None])
-    frozen = _loss_and_grad(plan, values, [GuidanceConfig()],
+    frozen = _loss_and_grad(plan, values,
+                            _Stack.of(plan, [GuidanceConfig()]),
                             with_grad=False)[1].peaks[0].copy()
     frozen[-2:] /= 20.0
     beta = GuidanceConfig().beta
