@@ -40,7 +40,8 @@ __all__ = ["build_parser", "main", "write_pgm"]
 
 GRADCHECK_TOLERANCE = 1e-4
 # The most seeds one bench call runs. A one-seed run of the bundled suite
-# takes about 2 s, so the bound is about half an hour of work.
+# with the gamma sweep takes about 1.2 s (2-vCPU x86_64, BLAS on 1 thread),
+# so the bound is about 20 minutes of work.
 _MAX_BENCH_SEEDS = 1000
 # The most instances one gradcheck call checks. An instance is two 8x8
 # checks, about 15 ms, so the bound is well under a minute of work.
@@ -81,8 +82,10 @@ def _gamma_sweep(text: str) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Without exit_on_error a flag value that fails its type raises
+    # ArgumentError, which main reports as one error line.
     parser = argparse.ArgumentParser(
-        prog="loco",
+        prog="loco", exit_on_error=False,
         description="Layout-guided attention steering on a toy denoiser.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -103,10 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=Path("loco_out"))
         p.add_argument("--detach-norms", action="store_true", default=None)
 
-    gen = sub.add_parser("generate", help="run one guided generation")
+    gen = sub.add_parser("generate", help="run one guided generation",
+                         exit_on_error=False)
     add_common(gen)
 
-    bench = sub.add_parser("bench", help="run the layout benchmark")
+    bench = sub.add_parser("bench", help="run the layout benchmark",
+                           exit_on_error=False)
     add_common(bench)
     bench.add_argument("--gamma-sweep", type=str, default=None,
                        help="comma-separated loss scales to sweep")
@@ -114,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeds per layout (seed, seed+1, ...)")
 
     grad = sub.add_parser("gradcheck",
-                          help="check the loss gradient against finite differences")
+                          help="check the loss gradient against finite differences",
+                          exit_on_error=False)
     grad.add_argument("--seed", default=None)
     grad.add_argument("--detach-norms", action="store_true", default=None,
                       help="check only the detached-divisor mode")
@@ -295,14 +301,15 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_gradcheck(args)
-    except (LayoutError, ContractError, ShapeError, OSError) as err:
+    except (argparse.ArgumentError, LayoutError, ContractError, ShapeError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

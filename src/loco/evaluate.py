@@ -250,7 +250,7 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     plan, start = _setup(layout, backbone, seed)
     values = []
     for attn, _ in _guided_step(start.z[None].copy(), 0, plan, [cfg]):
-        maps = object_maps(attn[0], layout)
+        maps = object_maps(attn[0].T, layout)
         values += [float((maps[i] * plan.flats[j]).sum())
                    for i in range(layout.k) for j in range(layout.k) if i != j]
     return float(np.mean(values))
@@ -389,7 +389,7 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
                                               backbone):
                 for curve, step in zip(curves, losses):
                     curve += step
-            scores = [_evaluate(layout, attn)[0]
+            scores = [_evaluate(layout, attn.T)[0]
                       for attn in _attention(plan, z)]
             cells[i, j] = [_record(name, seed, label, gcfg, curves[k],
                                    scores[k])

@@ -21,7 +21,6 @@ to the frozen denoiser.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import sqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -318,8 +317,7 @@ class _Plan:
 
     tokens: TokenSet
     keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
-    fold: np.ndarray  # (d_z, n): W_q K^T / sqrt(d), so logits = z @ fold
-    fold_t: np.ndarray  # (n, d_z): fold^T, C-contiguous, for the backward
+    fold_t: np.ndarray  # (n, d_z): K W_q^T / sqrt(d); logits = fold_t @ z^T
     # (n, k + 2): the phrase selector's k columns, then -1 at SoT and +1 at
     # EoT, so one product gives every row the loss divides by its peak.
     sel_ext: np.ndarray
@@ -344,62 +342,34 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     proj = build_projections(backbone, seeds.proj)
     keys = tokens.e @ proj.w_k
     # The backbone is frozen, so within a run W_q and K are constants and
-    # the two projections fold into one (d_z, n) map.
-    fold = (proj.w_q @ keys.T) / sqrt(proj.w_q.shape[1])
+    # the two projections fold into one (n, d_z) map.
+    fold_t = (keys @ proj.w_q.T) / sqrt(proj.w_q.shape[1])
     masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
     pads = np.zeros((tokens.n, 2))
     pads[0, 0], pads[-1, 1] = -1.0, 1.0
     plan = _Plan(
-        tokens=tokens, keys=keys, fold=fold,
-        fold_t=np.ascontiguousarray(fold.T),
+        tokens=tokens, keys=keys, fold_t=fold_t,
         sel_ext=np.hstack((_phrase_selector(layout.phrases, tokens.n), pads)),
         flats=_flat_masks(masks, backbone.q))
     return plan, init_latent(backbone, seeds.latent)
 
 
 # The closed-form loss and the trajectory engine work on stacks of latents,
-# (B, q, d_z). A stacked np.matmul is, item by item, the 2-D product, and
-# each reduction runs along the same contiguous axis as on one latent, so
-# every item is bit-identical to the same computation on its latent alone.
-#
-# The token axis is short (n = 4 to 9 on the suite), and numpy reduces short
-# contiguous rows one row at a time, several times slower than a few
-# elementwise ops over the n columns or one product. So the softmax's max
-# runs as a column chain and its sums as products with a ones column.
-
-def _row_max(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)`` as a chain of ``np.maximum`` over
-    the columns: exact, NaN included. Only a row of zeros of both signs may
-    end on the other zero, as numpy's vectorised max itself may; the softmax
-    subtracts the max and exponentiates, where that sign cannot show."""
-    m = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(m, x[..., j:j + 1], out=m)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _ones_column(n: int) -> np.ndarray:
-    """A read-only (n, 1) column of ones, built once per token count."""
-    ones = np.ones((n, 1))
-    ones.flags.writeable = False
-    return ones
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)`` as one product with a ones column;
-    it may differ from numpy's sum in the last bits."""
-    return x @ _ones_column(x.shape[-1])
-
+# (B, q, d_z), and hold attention token-major, (B, n, q): row j of an item is
+# token j's map, q contiguous cells, so the softmax reduces over the token
+# axis with q-wide operations and each map the loss reads is one row. A
+# stacked np.matmul is, item by item, the 2-D product, and each reduction
+# runs along the same axis as on one item, so every item is bit-identical to
+# the same computation on its latent alone.
 
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
-    """Cross-attention values at stacked latents, (B, q, n): the row softmax
-    of ``z @ plan.fold``, a fresh array. Row p of an item depends on row p
-    of its latent alone."""
-    logits = z @ plan.fold
-    logits -= _row_max(logits)
+    """Cross-attention values at stacked latents, token-major, (B, n, q):
+    the softmax over the tokens of ``plan.fold_t @ z^T``, a fresh array.
+    Column p of an item depends on row p of its latent alone."""
+    logits = plan.fold_t @ z.swapaxes(-1, -2)
+    logits -= np.maximum.reduce(logits, 1, keepdims=True)
     e = np.exp(logits, out=logits)
-    e /= _row_sum(e)
+    e /= np.add.reduce(e, 1, keepdims=True)
     return e
 
 
@@ -471,9 +441,10 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
                    frozen_norms: np.ndarray | None = None,
                    with_grad: bool = True, out: np.ndarray | None = None
                    ) -> tuple[np.ndarray | None, _Terms]:
-    """``loco_loss`` at a stack of attention values a, (B, q, n), and its
-    gradient with respect to the latents, (B, q, d_z), in closed form; item
-    b uses the constants of ``stack`` (``_Stack.of`` the items' configs).
+    """``loco_loss`` at a stack of token-major attention values a,
+    (B, n, q), and its gradient with respect to the latents, (B, q, d_z),
+    in closed form; item b uses the constants of ``stack`` (``_Stack.of``
+    the items' configs).
 
     ``a`` is ``_attention`` of the latents; the loss reads only it, and the
     backward ends in ``plan.fold_t``, so no latent is needed. Returns the
@@ -499,14 +470,14 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
     k = plan.flats.shape[0]
     if k == 0:
         raise ContractError("layout has no objects")
-    b, q = a.shape[:2]
+    b, q = a.shape[0], a.shape[2]
     # Detached or frozen divisors are constants: no adjoint reaches them.
     held = stack.detach_norms or frozen_norms is not None
 
     # The maps the loss divides by their floored peaks, (B, k + 2, q): the
     # k object maps, the SoT complement and the EoT map, as one product with
     # the extended selector, which leaves -SoT in row k.
-    rows = plan.sel_ext.T @ a.swapaxes(-1, -2)
+    rows = plan.sel_ext.T @ a
     rows[:, k] += 1.0
     maps = rows[:, :k]
     if frozen_norms is None:
@@ -579,11 +550,12 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
         g_rows.reshape(-1)[spot] -= g_norms
     # One product with the extended selector: the object columns, and the
     # pad rows' adjoints at SoT (negated) and EoT.
-    g_a = g_rows.swapaxes(1, 2) @ plan.sel_ext.T
+    g_a = plan.sel_ext @ g_rows
 
-    # Backward through the softmax and the folded projections.
-    g_logits = a * (g_a - _row_sum(g_a * a))
-    return np.matmul(g_logits, plan.fold_t, out=out), terms
+    # Backward through the softmax over the tokens and the folded
+    # projections.
+    g_logits = a * (g_a - np.add.reduce(g_a * a, 1, keepdims=True))
+    return np.matmul(g_logits.swapaxes(1, 2), plan.fold_t, out=out), terms
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
@@ -598,7 +570,7 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     updates together, one stacked loss call per iteration on constants
     built once for the step, each gradient written into ``grad[:m]`` (a
     fresh array per call when no ``grad`` is given). After each iteration's
-    update it yields ``(values, terms)``: the (m, q, n) attention values
+    update it yields ``(values, terms)``: the (m, n, q) attention values
     the update read, a fresh array, and the live items' loss terms. With no
     live item it yields nothing.
     """
@@ -650,8 +622,9 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     and a stack that breaks one raises ``ContractError``. Each
     item is bit-identical to its own run. Each yield is ``(losses,
     attention, z)``: every item's loss breakdowns of the timestep, the
-    (B, q, n) attention the denoise read, a fresh array, and the stack
-    (B, q, d_z) after the denoise, which the next timestep changes in place.
+    token-major (B, n, q) attention the denoise read, a fresh array, and
+    the stack (B, q, d_z) after the denoise, which the next timestep
+    changes in place.
     """
     if any(a.guided_steps < b.guided_steps for a, b in zip(cfgs, cfgs[1:])):
         raise ContractError("the items of a stack must come in order of "
@@ -663,6 +636,7 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     rho = backbone.rho
     e_v = plan.keys
     value_rms = float(np.sqrt((e_v * e_v).sum() / e_v.size))  # as np.mean
+    guided = max((c.guided_steps for c in cfgs), default=0)
     # The stack and one work array, for the guided steps' gradients and
     # then the denoise's increments: the updates, the denoise and the noise
     # write into them in place, the same operations as fresh arrays without
@@ -677,24 +651,26 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         # a yield and leaks into the caller.
         with np.errstate(over="ignore", invalid="ignore"):
             losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
-            for _, terms in _guided_step(z, index, plan, cfgs, work):
-                for item, breakdown in zip(losses, _breakdowns(terms)):
-                    item.append(breakdown)
+            if index < guided:
+                for _, terms in _guided_step(z, index, plan, cfgs, work):
+                    for item, breakdown in zip(losses, _breakdowns(terms)):
+                        item.append(breakdown)
             attn = _attention(plan, z)
-            # denoise_step on every item: (1 - rho) z + rho (A E_v), then
+            # denoise_step on every item: (1 - rho) z + rho (A^T E_v), then
             # sigma times the shared draw.
             sigma = effective_noise(
                 backbone, t, z, expected_latent_rms(backbone, index, value_rms))
-            delta = np.matmul(attn, e_v, out=work)
+            delta = np.matmul(attn.swapaxes(1, 2), e_v, out=work)
             delta *= rho
             z *= 1.0 - rho
             z += delta
             np.multiply(sigma[:, None, None], draw, out=delta)
             z += delta
-            # Checked here, once per timestep: a latent whose mean square is
-            # not finite gets a sigma that is not finite, and its noise
-            # carries that into z.
-            finite = np.isfinite(z).all(axis=(1, 2))
+        # Checked once per timestep, on sigma: a latent whose mean square is
+        # not finite gets a sigma that is not finite, which its noise carries
+        # into every entry of z, and a finite sigma bounds |z| far below
+        # overflow, so z is finite iff sigma is.
+        finite = np.isfinite(sigma)
         if not finite.all():
             bad = cfgs[int(np.argmin(finite))]
             raise ContractError(
@@ -715,16 +691,19 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     The run holds one ``StepRecord`` per timestep and, of the latents, only
     the final one, ``final_z``, (q, d_z), and its attention
     ``final_attention``, (q, n): one map per token, SoT first and EoT last.
+    Both it and each step's attention are transposed views of the engine's
+    token-major arrays.
     """
     plan, start = _setup(layout, backbone, seeds)
     steps = []
     for losses, attn, z in _trajectories(
             plan, start.z, _noise_draws(backbone, start.rng_seed), [cfg],
             backbone):
-        steps.append(StepRecord(losses=tuple(losses[0]), attention=attn[0]))
+        steps.append(StepRecord(losses=tuple(losses[0]),
+                                attention=attn[0].T))
     return GuidedRun(layout=layout, config=cfg, backbone=backbone,
                      tokens=plan.tokens, steps=tuple(steps), final_z=z[0],
-                     final_attention=_attention(plan, z)[0])
+                     final_attention=_attention(plan, z)[0].T)
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +777,13 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     constants of the differentiated function, so they are held at the
     values the base call of ``_loss_and_grad`` returned. The differences
     run as stacked forward calls, the +step and -step latents of up to
-    ``_FD_CHUNK`` coordinates per call. A perturbed latent differs from the base latent in one pixel
-    row, and attention is row-local, so only that row's attention is
-    recomputed: the perturbed rows go through ``_attention`` as one stack,
-    and each lands in its copy of the base attention, in one stack restored
-    after each call. Each item is bit-identical to its own one-latent call,
-    so ``numeric`` equals differencing one coordinate at a time, byte for
-    byte.
+    ``_FD_CHUNK`` coordinates per call. A perturbed latent differs from the
+    base latent in one pixel row, and attention is pixel-local, so only
+    that pixel's attention column is recomputed: the perturbed rows go
+    through ``_attention`` as one stack, and each lands in its copy of the
+    base attention, in one stack restored after each call. Each item is
+    bit-identical to its own one-latent call, so ``numeric`` equals
+    differencing one coordinate at a time, byte for byte.
     """
     plan, cfg, z0 = _check_instance(seed, resolution, content_words,
                                     n_objects, detach_norms)
@@ -842,11 +821,11 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
         # stacked forward's shape.
         shape = (2 * c, 1, d_z) if q == 1 else (1, 2 * c, d_z)
         a = stack[:2 * c]
-        a[live, pixels] = _attention(plan, rows.reshape(shape)).reshape(
-            2 * c, -1)
+        a[live, :, pixels] = _attention(plan, rows.reshape(shape)).swapaxes(
+            1, 2).reshape(2 * c, -1)
         totals = _loss_and_grad(plan, a, consts.prefix(2 * c), target, norms,
                                 with_grad=False)[1].total
-        a[live, pixels] = base[0, pixels]
+        a[live, :, pixels] = base[0, :, pixels]
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)
     numeric = numeric.reshape(z0.shape)
 

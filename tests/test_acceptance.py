@@ -32,7 +32,7 @@ SUITE_SEEDS = range(5)
 def shipped_terms(plan, values, cfg):
     """The guided loop's loss terms (lac, ptc, total, in-box fractions) at
     one (q, n) attention array, as ``_guided_step`` computes them."""
-    _, terms = _loss_and_grad(plan, values[None], _Stack.of(plan, [cfg]),
+    _, terms = _loss_and_grad(plan, values.T[None], _Stack.of(plan, [cfg]),
                               with_grad=False)
     return [x[0] for x in terms[:4]]
 
@@ -113,7 +113,7 @@ def test_criterion_3_descent():
         after = state.z[None].copy()
         [(_, terms)] = _guided_step(after, 0, plan, [one_step])
         before = float(terms.total[0])
-        recomputed = shipped_terms(plan, _attention(plan, after)[0], GCFG)[2]
+        recomputed = shipped_terms(plan, _attention(plan, after)[0].T, GCFG)[2]
         descended += recomputed < before
 
         # The same step on the tape.
@@ -211,7 +211,7 @@ def test_criterion_8_endpoint_checks():
     values = rng.dirichlet(np.ones(5), size=256)
 
     no_ptc = replace(GCFG, alpha=0.0)
-    _, terms = _loss_and_grad(plan, values[None],
+    _, terms = _loss_and_grad(plan, values.T[None],
                               _Stack.of(plan, [no_ptc]), with_grad=False)
     [shipped] = _breakdowns(terms)
     assert shipped.total == shipped.lac  # exact float equality

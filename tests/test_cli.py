@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -391,6 +392,32 @@ def test_gradcheck_instance_count_outside_its_bound_runs_nothing(
     _assert_one_error_line(captured)
     assert f"--instances {count} is outside [1, 1000]" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "generate --gamma abc", "bench --alpha 1,5", "generate --beta ''",
+    "bench --guided-steps 2.5", "generate --iters ten", "bench --seeds abc",
+    "gradcheck --instances 2.5"])
+def test_malformed_flag_value_is_one_error_line(layout_file, tmp_path, capsys,
+                                                monkeypatch, argv):
+    """A flag value that fails its type check ends in one ``error:`` line
+    and exit code 1 before any run starts; ``--help`` still exits 0."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a malformed flag value started a run")
+
+    for name in ("guided_sample", "run_benchmark", "gradient_check"):
+        monkeypatch.setattr(cli, name, no_run)
+    command, flag, value = shlex.split(argv)
+    paths = [] if command == "gradcheck" else [
+        "--layout", str(layout_file), "--out", str(tmp_path / "o")]
+    assert main([command, *paths, flag, value]) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert f"argument {flag}: invalid" in captured.err
+    assert captured.out == "" and not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
 
 
 @pytest.mark.parametrize("command", ["generate --layout", "generate --config",

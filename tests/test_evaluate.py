@@ -406,6 +406,35 @@ def test_records_do_not_depend_on_the_object_order():
     assert diff.floats > 0
 
 
+_MIRRORED = {"left": "right", "right": "left", "above": "below",
+             "below": "above"}
+
+
+def test_records_do_not_depend_on_how_a_relation_is_stated():
+    """Stating each suite relation from its other end, ``left(a, b)`` as
+    ``right(b, a)`` and ``above(a, b)`` as ``below(b, a)``, leaves every
+    record equal, ``relations_correct`` included. One seed, all arms."""
+    docs = {path.stem: json.loads(path.read_text())
+            for path in sorted(bundled_suite_dir().glob("*.json"))}
+
+    def mirrored(doc):
+        return {**doc, "relations": [
+            {"a": r["b"], "b": r["a"], "kind": _MIRRORED[r["kind"]]}
+            for r in doc.get("relations", [])]}
+
+    def records(edit):
+        suite = [(name, layout_from_dict(edit(doc)))
+                 for name, doc in docs.items()]
+        return run_benchmark(suite, GuidanceConfig(), BackboneConfig(),
+                             seeds=[0]).records
+
+    stated = records(lambda doc: doc)
+    assert records(mirrored) == stated
+    # Both outcomes occur, so a relation test that flips either shows.
+    assert 0 < sum(r["relations_correct"] for r in stated) < sum(
+        r["relations_total"] for r in stated)
+
+
 def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
         monkeypatch):
     """One stacked run per (layout, seed) holds every distinct config once

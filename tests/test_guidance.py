@@ -1,6 +1,7 @@
 """Loss chain: closed forms, endpoints, gradients, the sampling loop."""
 
 import math
+import re
 import weakref
 from dataclasses import replace
 from typing import NamedTuple
@@ -16,7 +17,7 @@ from loco.backbone import (BackboneConfig, Seeds,
                            init_latent, value_matrix)
 from loco import diffmath as dm
 from loco.diffmath import ContractError, Tape
-from loco.evaluate import ARMS, arm_config
+from loco.evaluate import ARMS, arm_config, run_benchmark
 from loco import guidance
 from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig, _Stack,
                            _attention, _breakdowns, _check_instance, _loss_and_grad,
@@ -234,7 +235,7 @@ def test_frozen_norms_match_detached_gradient():
     detached_grad = tape.backward(loss)[z]
 
     plan, _ = _setup(LAYOUT, BCFG, 0)
-    frozen = _loss_and_grad(plan, attn.value[None], _Stack.of(plan, [cfg]),
+    frozen = _loss_and_grad(plan, attn.value.T[None], _Stack.of(plan, [cfg]),
                             with_grad=False)[1].peaks[0]
     tape2 = Tape()
     z2 = tape2.leaf(z0)
@@ -248,7 +249,7 @@ def test_held_target_structure():
     rng = np.random.default_rng(10)
     values = rng.dirichlet(np.ones(5), size=256)
     plan, _ = _setup(LAYOUT, BCFG, 0)
-    target = _loss_and_grad(plan, values[None],
+    target = _loss_and_grad(plan, values.T[None],
                             _Stack.of(plan, [GuidanceConfig()]),
                             with_grad=False)[1].target[0]
     assert target.shape == (256,)
@@ -420,10 +421,10 @@ def _stacked_run(layout, cfgs, seed):
     for losses, attn, z in _trajectories(
             plan, start.z, _noise_draws(BCFG, start.rng_seed), cfgs, BCFG):
         for i, item in enumerate(steps):
-            item.append(Step(tuple(losses[i]), attn[i], z[i].copy()))
+            item.append(Step(tuple(losses[i]), attn[i].T, z[i].copy()))
     attn = _attention(plan, z)
     return [Track(curve=[bd for step in item for bd in step.losses],
-                  steps=item, z=z[i], attention=attn[i])
+                  steps=item, z=z[i], attention=attn[i].T)
             for i, item in enumerate(steps)]
 
 
@@ -551,44 +552,6 @@ def test_lone_run_draws_its_noise_lazily(monkeypatch):
     guided_sample(LAYOUT, GuidanceConfig(guided_steps=1), BCFG, 0)
     assert len(alive) == BCFG.total_steps
     assert most[0] <= 2
-
-
-def test_row_reductions_tie_numpy_bit_for_bit():
-    """``_row_max`` gives numpy's bits. ``_row_sum`` adds in another order:
-    a row with an infinite or NaN entry sums to the same infinity or NaN,
-    and a finite row to within n ulps of its summed magnitudes, unless
-    those overflow, where the order decides whether the sum does."""
-    rng = np.random.default_rng(0)
-    eps = np.finfo(np.float64).eps
-    for n in [*range(1, 41), *range(127, 301)]:
-        x = rng.standard_normal((2, 6, n)) * 10.0 ** rng.integers(
-            -300, 300, (2, 6, n))
-        x[0, 0] = -0.0
-        x[0, 1, ::3] = np.inf
-        x[0, 2, 1::4] = -np.inf
-        x[0, 3, n // 2] = np.nan
-        x[0, 4] = np.inf
-        x[0, 5] = np.nan
-        x[1, 0, ::2], x[1, 0, 1::2] = np.inf, -np.inf
-        x[1, 1] = rng.choice([-1.0, 1.0], n) * rng.uniform(1e307, 1.7e308, n)
-        x[1, 2] = rng.choice([-1.0, 1.0], n) * 2.0 ** -1074
-        # Zeros of both signs: numpy's vectorised max may return either,
-        # so this row is checked for the sum only.
-        zeros = rng.choice([0.0, -0.0], (1, n))
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = guidance._row_max(x), np.max(x, axis=-1, keepdims=True)
-            assert got.shape == want.shape, n
-            assert got.tobytes() == want.tobytes(), n
-            for rows in (x, zeros):
-                got, want = guidance._row_sum(rows), np.sum(rows, axis=-1,
-                                                            keepdims=True)
-                assert got.shape == want.shape, n
-                finite = np.isfinite(rows).all(axis=-1, keepdims=True)
-                assert np.array_equal(got[~finite], want[~finite],
-                                      equal_nan=True), n
-                mag = np.abs(rows).sum(axis=-1, keepdims=True)
-                near = np.abs(got - want) <= n * eps * mag
-                assert (near | ~np.isfinite(mag))[finite].all(), n
 
 
 def _arms(**flags):
@@ -851,6 +814,41 @@ def test_non_finite_latent_raises_naming_the_timestep():
         guided_sample(layout, GuidanceConfig(gamma=1e300), BCFG, 0)
 
 
+def test_nan_in_an_unguided_start_latent_raises_at_timestep_0(monkeypatch):
+    """A NaN in an unguided run's start latent makes the first denoise's
+    sigma NaN, which raises at timestep 0."""
+    real = guidance.init_latent
+
+    def planted(*args):
+        state = real(*args)
+        state.z[5, 3] = np.nan
+        return state
+
+    monkeypatch.setattr(guidance, "init_latent", planted)
+    with pytest.raises(ContractError, match=re.escape(
+            "latent turned non-finite at timestep 0 (t=51); gamma=30 is too "
+            "large")):
+        guided_sample(LAYOUT, GuidanceConfig(guided_steps=0), BCFG, 0)
+
+
+def test_nan_in_one_guided_item_of_a_stack_names_its_gamma(monkeypatch):
+    """A NaN planted after guided step 3 in the gamma-5 sweep item, the
+    fourth of a benchmark stack, raises at that timestep naming it."""
+    real = guidance._guided_step
+
+    def planted(z, index, plan, cfgs, grad=None):
+        yield from real(z, index, plan, cfgs, grad)
+        if index == 3:
+            z[[cfg.gamma for cfg in cfgs].index(5.0), 7, 2] = np.nan
+
+    monkeypatch.setattr(guidance, "_guided_step", planted)
+    with pytest.raises(ContractError, match=re.escape(
+            "latent turned non-finite at timestep 3 (t=48); gamma=5 is too "
+            "large")):
+        run_benchmark([("pair", LAYOUT)], GuidanceConfig(), BCFG, seeds=[0],
+                      gamma_sweep=[5.0, 300.0])
+
+
 # ---------------------------------------------------------------------------
 # The closed-form gradient of the guided loop against the tape.
 
@@ -882,7 +880,7 @@ def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
         want = _tape_loss_and_grad(plan, proj, item, layout, cfg, **overrides)
         assert rel_error(grad, want[0]) <= grad_rtol
         assert_breakdowns_close([breakdown], [want[1]])
-        assert_values_close(value, want[2])
+        assert_values_close(value.T, want[2])
     forward = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
                              with_grad=False, **overrides)[1]
     assert _breakdowns(forward) == breakdowns
@@ -1000,8 +998,8 @@ def test_held_constants_reproduce_the_loss_and_tie_the_tape(detach):
                                        with_grad=False)[1]
                 assert again.total.tobytes() == held.total[b:b + 1].tobytes()
                 assert_values_close(held.peaks[b],
-                                    _tape_divisors(values[b], layout))
-            maps = object_maps(values[0], layout)
+                                    _tape_divisors(values[b].T, layout))
+            maps = object_maps(values[0].T, layout)
             peaks = held.peaks[0, :layout.k]
             assert np.array_equal(peaks, np.maximum(maps.max(axis=1), EPS))
             assert not np.any(peaks == 1.0)
@@ -1072,9 +1070,9 @@ def test_loss_ties_the_tape_where_the_softmax_underflows():
     plan, start = _setup(LAYOUT, BCFG, 0)
     z = np.stack([start.z * 3000.0, start.z * 1000.0, start.z])
     values = _attention(plan, z)
-    for pad in (values[:2, :, 0], values[:2, :, -1]):
+    for pad in (values[:2, 0], values[:2, -1]):
         assert (pad == 0.0).sum() > 100
-    logits = np.abs(z @ plan.fold).max()
+    logits = np.abs(z @ plan.fold_t.T).max()
     assert logits > 1e3
     rtol = max(GRAD_RTOL, 16 * np.finfo(np.float64).eps * logits)
     proj = projections(0)
@@ -1092,12 +1090,12 @@ def test_loss_ties_the_tape_where_the_object_maps_vanish():
     tokens' attention falls by e^-2 per unit of the multiple.
     """
     plan, start = _setup(LAYOUT, BCFG, 0)
-    favour = np.full(plan.fold.shape[1], -1.0)
+    favour = np.full(plan.fold_t.shape[0], -1.0)
     favour[[0, -1]] = 1.0
-    u = np.linalg.lstsq(plan.fold.T, favour, rcond=None)[0]
+    u = np.linalg.lstsq(plan.fold_t, favour, rcond=None)[0]
     z = np.stack([start.z + c * u for c in (12.5, 20.0, 10.0)])
     values = _attention(plan, z)
-    sums = [object_maps(v, LAYOUT).sum() for v in values]
+    sums = [object_maps(v.T, LAYOUT).sum() for v in values]
     assert sums[0] < EPS and sums[1] < EPS < sums[2]
     proj = projections(0)
     for name in ("lac_wo_norm", "mixed_normalize"):
@@ -1119,8 +1117,8 @@ def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
                             with_grad=False)[1].peaks[0].copy()
     frozen[-2:] /= 20.0
     beta = GuidanceConfig().beta
-    a_pt = (beta * (1.0 - values[0, :, 0]) / frozen[-2]
-            + (1.0 - beta) * values[0, :, -1] / frozen[-1])
+    a_pt = (beta * (1.0 - values[0, 0]) / frozen[-2]
+            + (1.0 - beta) * values[0, -1] / frozen[-1])
     s = 1.0 / (1.0 + np.exp(-a_pt))
     assert ((s > 1.0 - BCE_CLAMP) & (s < 1.0)).sum() > 10
     assert (s < 1.0 - BCE_CLAMP).sum() > 10
