@@ -83,11 +83,13 @@ def _gamma_sweep(text: str) -> list[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     # Without exit_on_error a flag value that fails its type raises
-    # ArgumentError, which main reports as one error line.
+    # ArgumentError, which main reports as one error line. The command is
+    # optional to the parser, because a missing one would make it exit
+    # with its usage block; main reports it instead.
     parser = argparse.ArgumentParser(
         prog="loco", exit_on_error=False,
         description="Layout-guided attention steering on a toy denoiser.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--layout", type=Path, default=None,
@@ -302,7 +304,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # parse_args would exit with the usage block on an unknown argument.
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise argparse.ArgumentError(
+                None, f"unrecognized arguments: {' '.join(unknown)}")
+        if args.command is None:
+            raise argparse.ArgumentError(
+                None, "a command is required: generate, bench or gradcheck")
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "bench":

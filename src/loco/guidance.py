@@ -68,6 +68,9 @@ __all__ = [
 EPS = 1e-8
 # Probability clamp for the binary cross-entropy.
 BCE_CLAMP = 1e-7
+# The clamp's upper bound as a logit: sigmoid(a) > 1 - BCE_CLAMP iff a lies
+# above it. 1 - (1 - BCE_CLAMP) is exact in float64.
+_LOGIT_BOUND = float(np.log(1.0 - BCE_CLAMP) - np.log(1.0 - (1.0 - BCE_CLAMP)))
 # Central-difference step of the gradient check.
 FD_STEP = 1e-5
 
@@ -484,8 +487,7 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
         # Each row's first max entry, read by one flat fancy index.
         spot = stack.starts + rows.argmax(axis=-1)
         top = rows.reshape(-1)[spot]
-        won = top >= EPS
-        peaks = np.where(won, top, EPS)
+        peaks = np.maximum(top, EPS)
     else:
         peaks = np.asarray(frozen_norms, dtype=np.float64)
     norms = np.where(stack.scaled, peaks, 1.0)
@@ -504,9 +506,10 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
     short = 1.0 - ratio
     lac = short * short
 
-    # ptc: cross-entropy of the blended rescaled SoT complement and EoT map.
-    pads = rows[:, k:] / norms[:, k:, None]
-    a_pt = stack.blend[0] * pads[:, 0] + stack.blend[1] * pads[:, 1]
+    # ptc: cross-entropy of the blended rescaled SoT complement and EoT map,
+    # one weighted sum with each pad row's blend weight over its divisor.
+    w = stack.blend / norms[:, k:]
+    a_pt = rows[:, k] * w[:, :1] + rows[:, k + 1] * w[:, 1:]
     if target is None:
         y = np.maximum.reduce(masked, 1)
     else:
@@ -514,14 +517,12 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
         if y.shape != (q,):
             raise ShapeError(
                 f"target shape {y.shape} does not match map {(q, 1)}")
-    # a_pt >= 0 (its rows lie in [0, 1], its divisors are positive), so
-    # the sigmoid needs no branch for negative inputs.
-    s = 1.0 / (1.0 + np.exp(-a_pt))
-    # np.clip, and then the mean as sum / count, which is how np.mean
-    # computes it: the same bits without the wrappers' overhead.
-    p = np.maximum(s, BCE_CLAMP)
-    np.minimum(p, 1.0 - BCE_CLAMP, out=p)
-    ptc = -np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), -1) / q
+    # From the logit x, a cell is (1 - y) x + log1p(e^-x). a_pt >= 0, so
+    # s = sigmoid(a_pt) >= 1/2 and only the clamp's upper bound can bind.
+    # The mean is sum / count, as np.mean computes it, without its wrapper.
+    x = np.minimum(a_pt, _LOGIT_BOUND)
+    e = np.exp(-x)
+    ptc = np.add.reduce((1.0 - y) * x + np.log1p(e), -1) / q
     total = lac + stack.alpha * ptc
 
     inbox, every = mass[:, 0], mass[:, 1]
@@ -530,23 +531,21 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
         return None, terms
 
     # The adjoint of each row. The cross-entropy's adjoint at a_pt is the
-    # sigmoid's natural alpha / q * (s - y), which the clamp passes where it
-    # left s unchanged, that is where p == s: that is
-    # BCE_CLAMP <= s <= 1 - BCE_CLAMP, and false for a NaN s as well.
+    # sigmoid's natural alpha / q * (s - y), with s = 1 / (1 + e), which
+    # the clamp passes where a_pt <= _LOGIT_BOUND, false for a NaN a_pt.
     g_num = -2.0 * short / den_floor
     g_den = -g_num * ratio * (den >= EPS)
-    g_pt = stack.ce_weight * (s - y) * (p == s)
+    g_pt = stack.ce_weight * (1.0 / (1.0 + e) - y) * (a_pt <= _LOGIT_BOUND)
     g_rows = np.empty_like(rows)
     np.divide(g_num[:, None, None] * plan.flats + g_den[:, None, None],
               norms[:, :k, None], out=g_rows[:, :k])
     # Each pad row's adjoint: its blend weight over its divisor, times g_pt.
-    w = stack.blend / norms[:, k:]
     np.multiply(w[..., None], g_pt[:, None], out=g_rows[:, k:])
     if not held:
         # Each divisor's adjoint, -(g_rows . rows) / norm, added at the
-        # entry its peak was read from.
+        # entry its peak was read from, where the peak beat its floor.
         g_norms = np.add.reduce(g_rows * rows, -1) / norms
-        g_norms *= stack.scaled & won
+        g_norms *= stack.scaled & (top >= EPS)
         g_rows.reshape(-1)[spot] -= g_norms
     # One product with the extended selector: the object columns, and the
     # pad rows' adjoints at SoT (negated) and EoT.
@@ -823,7 +822,8 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
         a = stack[:2 * c]
         a[live, :, pixels] = _attention(plan, rows.reshape(shape)).swapaxes(
             1, 2).reshape(2 * c, -1)
-        totals = _loss_and_grad(plan, a, consts.prefix(2 * c), target, norms,
+        sized = consts if 2 * c == width else consts.prefix(2 * c)
+        totals = _loss_and_grad(plan, a, sized, target, norms,
                                 with_grad=False)[1].total
         a[live, :, pixels] = base[0, :, pixels]
         numeric[idx] = (totals[:c] - totals[c:]) / (2.0 * FD_STEP)

@@ -420,6 +420,31 @@ def test_malformed_flag_value_is_one_error_line(layout_file, tmp_path, capsys,
     assert done.value.code == 0
 
 
+
+@pytest.mark.parametrize("argv, message", [
+    ("bench --bogus", "unrecognized arguments: --bogus"),
+    ("generate --layout x.json --seed 0 extra", "unrecognized arguments: extra"),
+    ("--bogus", "unrecognized arguments: --bogus"),
+    ("", "a command is required"),
+])
+def test_unknown_argument_or_missing_command_is_one_error_line(
+        capsys, monkeypatch, argv, message):
+    """An unknown flag or argument, or no command at all, ends in one
+    ``error:`` line and exit code 1 before any run starts, not in
+    argparse's usage block; ``--help`` still exits 0."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a malformed command line started a run")
+
+    for name in ("guided_sample", "run_benchmark", "gradient_check"):
+        monkeypatch.setattr(cli, name, no_run)
+    assert main(shlex.split(argv)) == 1
+    captured = capsys.readouterr()
+    _assert_one_error_line(captured)
+    assert message in captured.err and captured.out == ""
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+
 @pytest.mark.parametrize("command", ["generate --layout", "generate --config",
                                      "bench --layout"])
 def test_huge_json_integer_is_one_error_line(layout_file, tmp_path, capsys,

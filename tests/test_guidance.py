@@ -4,6 +4,7 @@ import math
 import re
 import weakref
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -413,13 +414,14 @@ class Track(NamedTuple):
     attention: np.ndarray  # (q, n), at the final latent
 
 
-def _stacked_run(layout, cfgs, seed):
+def _stacked_run(layout, cfgs, seed, backbone=BCFG):
     """Each item's track, kept from the yields: what ``guided_sample`` keeps
     of its run, plus a copy of each timestep's latent."""
-    plan, start = _setup(layout, BCFG, seed)
+    plan, start = _setup(layout, backbone, seed)
     steps = [[] for _ in cfgs]
     for losses, attn, z in _trajectories(
-            plan, start.z, _noise_draws(BCFG, start.rng_seed), cfgs, BCFG):
+            plan, start.z, _noise_draws(backbone, start.rng_seed), cfgs,
+            backbone):
         for i, item in enumerate(steps):
             item.append(Step(tuple(losses[i]), attn[i].T, z[i].copy()))
     attn = _attention(plan, z)
@@ -633,6 +635,49 @@ def test_stack_with_a_shrinking_live_prefix_equals_each_items_solo_run():
                 assert [len(step.losses) for step in track.steps] == (
                     [5] * cfg.guided_steps
                     + [0] * (BCFG.total_steps - cfg.guided_steps))
+
+
+@st.composite
+def _stack_problems(draw):
+    """A layout of 2 to 4 objects with phrases of 1 or 2 tokens, and a stack
+    of 2 to 6 configs in order of ``guided_steps`` (in [0, 10], largest
+    first) whose ``gamma``, ``alpha`` and ``lac_normalize`` are each item's
+    own and whose ``beta``, ``detach_norms`` and ``iterations_per_step``
+    are shared."""
+    words, objects = [], []
+    for i in range(draw(st.integers(2, 4))):
+        phrase = [f"w{i}{j}" for j in range(draw(st.integers(1, 2)))]
+        words += ["and"] * draw(st.integers(0, 1)) + phrase
+        x0, y0 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        box = [x0, y0, draw(st.integers(x0 + 1, 8)),
+               draw(st.integers(y0 + 1, 8))]
+        objects.append({"phrase": " ".join(phrase),
+                        "box": [v / 8 for v in box]})
+    layout = layout_from_dict({"prompt": " ".join(words), "objects": objects})
+    shared = dict(beta=draw(st.floats(0.0, 1.0)),
+                  detach_norms=draw(st.booleans()),
+                  iterations_per_step=draw(st.integers(1, 3)))
+    steps = sorted(draw(st.lists(st.integers(0, 10), min_size=2, max_size=6)),
+                   reverse=True)
+    cfgs = [GuidanceConfig(guided_steps=g, gamma=draw(st.floats(1.0, 300.0)),
+                           alpha=draw(st.floats(0.0, 1.0)),
+                           lac_normalize=draw(st.booleans()), **shared)
+            for g in steps]
+    return layout, cfgs
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=_stack_problems(), seed=st.integers(0, 2 ** 16))
+def test_drawn_stacks_equal_each_items_solo_run(problem, seed):
+    """On drawn layouts and stacks at resolution 8, each item's losses,
+    attention and final latent equal its solo ``guided_sample`` bit for
+    bit."""
+    layout, cfgs = problem
+    backbone = BackboneConfig(resolution=8)
+    for cfg, track in zip(cfgs, _stacked_run(layout, cfgs, seed, backbone)):
+        run = guided_sample(layout, cfg, backbone, seed)
+        _assert_same_run(track, run)
+        assert track.z.tobytes() == run.final_z.tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None,
@@ -868,9 +913,11 @@ def _tape_loss_and_grad(plan, proj, z, layout, cfg, **overrides):
 
 
 def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
-                 **overrides):
+                 ptc_reference=None, **overrides):
     """Each item's gradient, breakdown and attention in a stacked call tie
-    the tape's, on projections ``proj``, on that item's latent."""
+    the tape's, on projections ``proj``, on that item's latent. Given
+    ``ptc_reference``, a function of an item's (n, q) attention values,
+    ptc and total tie that reference instead of the tape's."""
     values = _attention(plan, z)
     grads, terms = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
                                   **overrides)
@@ -879,7 +926,12 @@ def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
                                                  values):
         want = _tape_loss_and_grad(plan, proj, item, layout, cfg, **overrides)
         assert rel_error(grad, want[0]) <= grad_rtol
-        assert_breakdowns_close([breakdown], [want[1]])
+        expected = want[1]
+        if ptc_reference is not None:
+            ptc = ptc_reference(value)
+            expected = replace(expected, ptc=float(ptc), total=float(
+                expected.lac + np.longdouble(cfg.alpha) * ptc))
+        assert_breakdowns_close([breakdown], [expected])
         assert_values_close(value.T, want[2])
     forward = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
                              with_grad=False, **overrides)[1]
@@ -1057,6 +1109,25 @@ def test_closed_form_ties_the_tape_on_random_layouts_and_configs(
                  **overrides)
 
 
+def test_the_cross_entropy_clamp_cannot_bind_in_the_guided_loop():
+    """At the first guided iteration of every suite layout, seeds 0-2, the
+    pad map a_pt lies in [0, 1], a convex blend of two max-rescaled maps.
+    So s = sigmoid(a_pt) lies in [1/2, 1 / (1 + e^-1)], far inside the
+    clamp: the clamp's logit bound binds only where the pad divisors are
+    held below the maps' peaks, as in the test below."""
+    cfg = GuidanceConfig()
+    for _, layout in load_suite(bundled_suite_dir()):
+        for seed in range(3):
+            plan, start = _setup(layout, BCFG, seed)
+            z = start.z[None].copy()
+            values, _ = next(guidance._guided_step(z, 0, plan, [cfg]))
+            a_pt = ptc_maps(make_attention(values[0].T), cfg.beta).value
+            assert 0.0 <= a_pt.min() and a_pt.max() <= 1.0
+            s = 1.0 / (1.0 + np.exp(-a_pt))
+            assert 0.5 <= s.min() and s.max() <= 1.0 / (1.0 + math.exp(-1.0))
+            assert a_pt.max() < guidance._LOGIT_BOUND
+
+
 def test_loss_ties_the_tape_where_the_softmax_underflows():
     """At latents large enough for the softmax to underflow to exact zeros,
     the pad maps and so their peaks sit on zeros, and the loss still ties
@@ -1102,6 +1173,23 @@ def test_loss_ties_the_tape_where_the_object_maps_vanish():
         _assert_tied(plan, proj, z, LAYOUT, TIE_STACKS[name])
 
 
+def _clamped_cross_entropy(values, layout, flats, beta, pad_divisors):
+    """``ptc_loss`` at an item's (n, q) attention values with the pad
+    divisors held, evaluated in np.longdouble with 1 - s written as
+    e / (1 + e), e = exp(-a_pt), so no cancellation sets its accuracy."""
+    ld = np.longdouble
+    v = values.astype(ld)
+    a_pt = (ld(beta) * (1 - v[0]) / ld(pad_divisors[0])
+            + ld(1.0 - beta) * v[-1] / ld(pad_divisors[1]))
+    assert a_pt.min() >= 0  # so s >= 1/2 and only the upper clamp binds
+    e = np.exp(-a_pt)
+    top = ld(1.0 - BCE_CLAMP)
+    p = np.minimum(1 / (1 + e), top)
+    p_bar = np.maximum(e / (1 + e), 1 - top)  # 1 - top is exact
+    y = (object_maps(values.T, layout) * flats).max(axis=0).astype(ld)
+    return -np.mean(y * np.log(p) + (1 - y) * np.log(p_bar))
+
+
 def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
     """Where sigmoid(a_pt) rises above ``1 - BCE_CLAMP``, the clamp holds p
     and passes no adjoint back; the loss still ties the tape there.
@@ -1109,6 +1197,11 @@ def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
     The pad divisors are held at 1/20 of the start latent's peaks, so a_pt
     reaches about 20 where the SoT complement peaks. There s lies in
     ``(1 - BCE_CLAMP, 1)``, while most cells stay inside the clamp.
+
+    Just below the clamp the tape's float64 ``log(1 - p)`` cancels: its ptc
+    misses a longdouble evaluation by about 9e-12, the logit form by under
+    1e-15. So ptc and total tie that evaluation; the gradient, and with it
+    the clamp's gate, the attention and lac tie the tape.
     """
     plan, start = _setup(LAYOUT, BCFG, 0)
     values = _attention(plan, start.z[None])
@@ -1125,4 +1218,8 @@ def test_loss_ties_the_tape_where_the_cross_entropy_clamps():
     z = np.repeat(start.z[None], 3, axis=0)
     proj = projections(0)
     for cfgs in TIE_STACKS.values():
-        _assert_tied(plan, proj, z, LAYOUT, cfgs, frozen_norms=frozen)
+        reference = partial(_clamped_cross_entropy, layout=LAYOUT,
+                            flats=plan.flats, beta=cfgs[0].beta,
+                            pad_divisors=frozen[-2:])
+        _assert_tied(plan, proj, z, LAYOUT, cfgs, frozen_norms=frozen,
+                     ptc_reference=reference)
