@@ -271,8 +271,10 @@ def effective_noise(cfg: BackboneConfig, t: int, z: np.ndarray,
     bit-identical to the RMS of its latent alone. A latent with a NaN RMS
     gets a NaN sigma.
     """
-    # The mean as sum / count, which is how np.mean computes it.
-    rms = np.sqrt((z * z).sum(axis=(-2, -1)) / (z.shape[-2] * z.shape[-1]))
+    # Each item's sum of squares as one contraction, without a temporary the
+    # size of the stack; the mean as sum / count.
+    rms = np.sqrt(np.einsum("...ij,...ij->...", z, z)
+                  / (z.shape[-2] * z.shape[-1]))
     excess = np.maximum(0.0, rms / max(expected_rms, 1e-12) - cfg.ood_slack)
     return noise_scale(cfg, t) * (1.0 + cfg.ood_noise_gain * excess)
 

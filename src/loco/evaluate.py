@@ -19,7 +19,7 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .guidance import (GuidanceConfig, LossBreakdown, _attention, _flat_masks,
+from .guidance import (GuidanceConfig, _attention, _flat_masks,
                        _guided_step, _is_nonnegative_int, _noise_draws,
                        _setup, _trajectories, object_maps)
 # Not called here; it stays a module attribute because perfbench's layer trace
@@ -276,8 +276,16 @@ def _evaluate(layout: Layout,
     return layout_metrics(detections, layout, attn), labels
 
 
+def _loss_curve(rows: Sequence[tuple[list[float], ...]], item: int) -> dict:
+    """One item's loss curve, from a stack's rows: one (lac, ptc, total)
+    triple per guided iteration, each a list of the live items' floats."""
+    live = [row for row in rows if len(row[0]) > item]
+    return {key: [row[f][item] for row in live]
+            for f, key in enumerate(("lac", "ptc", "total"))}
+
+
 def _record(name: str, seed: int, arm: str, cfg: GuidanceConfig,
-            curve: Sequence[LossBreakdown], metrics: LayoutMetrics) -> dict:
+            curve: dict, metrics: LayoutMetrics) -> dict:
     return {
         "layout": name,
         "seed": seed,
@@ -289,11 +297,7 @@ def _record(name: str, seed: int, arm: str, cfg: GuidanceConfig,
         "relations_total": metrics.relations_total,
         "relations_correct": metrics.relations_correct,
         "cross_box_mass": [list(row) for row in metrics.cross_box_mass],
-        "loss_curve": {
-            "lac": [bd.lac for bd in curve],
-            "ptc": [bd.ptc for bd in curve],
-            "total": [bd.total for bd in curve],
-        },
+        "loss_curve": curve,
     }
 
 
@@ -345,8 +349,8 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     sweep point is the ``lac_ptc`` arm). The stack lists them in order of
     ``guided_steps``, largest first, as ``_trajectories`` requires, so the
     ``none`` arm runs last. Of each timestep the trajectory
-    yields, only the loss breakdowns are kept, and the final latents are
-    scored. Every record equals the one its config's
+    yields, only the loss terms' lac, ptc and total columns are kept, and
+    the final latents are scored. Every record equals the one its config's
     own ``guided_sample`` run gives.
     """
     if not suite:
@@ -384,15 +388,15 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
             plan, start = _setup(layout, backbone, seed)
             if draws is None:  # the seed's draws, for all its layouts
                 draws = list(_noise_draws(backbone, start.rng_seed))
-            curves: list[list[LossBreakdown]] = [[] for _ in configs]
-            for losses, _, z in _trajectories(plan, start.z, draws, configs,
-                                              backbone):
-                for curve, step in zip(curves, losses):
-                    curve += step
+            rows = []
+            for terms, _, z in _trajectories(plan, start.z, draws, configs,
+                                             backbone):
+                rows += [(t.lac.tolist(), t.ptc.tolist(), t.total.tolist())
+                         for t in terms]
             scores = [_evaluate(layout, attn.T)[0]
                       for attn in _attention(plan, z)]
-            cells[i, j] = [_record(name, seed, label, gcfg, curves[k],
-                                   scores[k])
+            cells[i, j] = [_record(name, seed, label, gcfg,
+                                   _loss_curve(rows, k), scores[k])
                            for (label, gcfg), k in zip(groups, items)]
     per_group = zip(*(cells[key] for key in sorted(cells)))
 

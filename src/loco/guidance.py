@@ -321,6 +321,9 @@ class _Plan:
     tokens: TokenSet
     keys: np.ndarray  # (n, d): E @ W_k, also the denoiser's value vectors
     fold_t: np.ndarray  # (n, d_z): K W_q^T / sqrt(d); logits = fold_t @ z^T
+    # (n, n): fold_t @ fold_t^T, so a latent step z -= g^T fold_t moves the
+    # logits by -gram @ g.
+    gram: np.ndarray
     # (n, k + 2): the phrase selector's k columns, then -1 at SoT and +1 at
     # EoT, so one product gives every row the loss divides by its peak.
     sel_ext: np.ndarray
@@ -351,7 +354,7 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     pads = np.zeros((tokens.n, 2))
     pads[0, 0], pads[-1, 1] = -1.0, 1.0
     plan = _Plan(
-        tokens=tokens, keys=keys, fold_t=fold_t,
+        tokens=tokens, keys=keys, fold_t=fold_t, gram=fold_t @ fold_t.T,
         sel_ext=np.hstack((_phrase_selector(layout.phrases, tokens.n), pads)),
         flats=_flat_masks(masks, backbone.q))
     return plan, init_latent(backbone, seeds.latent)
@@ -364,16 +367,35 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
 # stacked np.matmul is, item by item, the 2-D product, and each reduction
 # runs along the same axis as on one item, so every item is bit-identical to
 # the same computation on its latent alone.
+#
+# The logits are linear in the latent, L = F z^T with F = plan.fold_t. A
+# guided iteration therefore steps the logits, L -= (F F^T) g for the step's
+# logit gradient g, and a guided step writes the latent once, z -= G^T F
+# for the sum G of its iterations' steps.
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax over the tokens of stacked token-major logits, (B, n, q),
+    a fresh array; the logits are left as they are."""
+    e = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, 1, keepdims=True)
+    return e
+
 
 def _attention(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """Cross-attention values at stacked latents, token-major, (B, n, q):
-    the softmax over the tokens of ``plan.fold_t @ z^T``, a fresh array.
-    Column p of an item depends on row p of its latent alone."""
-    logits = plan.fold_t @ z.swapaxes(-1, -2)
-    logits -= np.maximum.reduce(logits, 1, keepdims=True)
-    e = np.exp(logits, out=logits)
-    e /= np.add.reduce(e, 1, keepdims=True)
-    return e
+    ``_softmax`` of ``plan.fold_t @ z^T``, a fresh array. Column p of an
+    item depends on row p of its latent alone."""
+    return _softmax(plan.fold_t @ z.swapaxes(-1, -2))
+
+
+def _to_latent(plan: _Plan, g: np.ndarray, out: np.ndarray | None = None
+               ) -> np.ndarray:
+    """Stacked logit-space arrays g, (B, n, q), taken to the latent,
+    ``g^T @ plan.fold_t``, (B, q, d_z), written into ``out`` when given:
+    a logit gradient to its latent gradient, a logit step to its latent
+    step."""
+    return np.matmul(g.swapaxes(1, 2), plan.fold_t, out=out)
 
 
 class _Terms(NamedTuple):
@@ -442,23 +464,21 @@ class _Stack:
 def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
                    target: np.ndarray | None = None,
                    frozen_norms: np.ndarray | None = None,
-                   with_grad: bool = True, out: np.ndarray | None = None
+                   with_grad: bool = True
                    ) -> tuple[np.ndarray | None, _Terms]:
     """``loco_loss`` at a stack of token-major attention values a,
-    (B, n, q), and its gradient with respect to the latents, (B, q, d_z),
-    in closed form; item b uses the constants of ``stack`` (``_Stack.of``
-    the items' configs).
+    (B, n, q), and its gradient with respect to the logits, (B, n, q), in
+    closed form; item b uses the constants of ``stack`` (``_Stack.of`` the
+    items' configs).
 
-    ``a`` is ``_attention`` of the latents; the loss reads only it, and the
-    backward ends in ``plan.fold_t``, so no latent is needed. Returns the
-    gradients (None without ``with_grad``) and the loss terms
-    (``_breakdowns`` turns them into one breakdown per item). Each item
-    computes the function that ``cross_attention`` + ``loco_loss`` +
-    ``Tape.backward`` compute on its latent, which stay as the oracle; the
-    two differ by rounding only. ``target``, (q,), and ``frozen_norms``,
-    (k + 2,), act as in ``loco_loss``, on every item. The gradients are
-    written into ``out``, (B, q, d_z), when it is given, and are a fresh
-    array otherwise.
+    ``a`` is the softmax of the logits; the loss reads only it, so no
+    latent is needed. Returns the gradients, a fresh array (None without
+    ``with_grad``), and the loss terms (``_breakdowns`` turns them into one
+    breakdown per item). ``_to_latent`` takes the gradients to the latents:
+    there each item's is the gradient that ``cross_attention`` +
+    ``loco_loss`` + ``Tape.backward`` compute on its latent, which stay as
+    the oracle; the two differ by rounding only. ``target``, (q,), and
+    ``frozen_norms``, (k + 2,), act as in ``loco_loss``, on every item.
 
     Besides the loss terms, the record holds the two constants the loss
     holds while it differentiates: the cross-entropy target and the floored
@@ -551,15 +571,13 @@ def _loss_and_grad(plan: _Plan, a: np.ndarray, stack: _Stack,
     # pad rows' adjoints at SoT (negated) and EoT.
     g_a = plan.sel_ext @ g_rows
 
-    # Backward through the softmax over the tokens and the folded
-    # projections.
-    g_logits = a * (g_a - np.add.reduce(g_a * a, 1, keepdims=True))
-    return np.matmul(g_logits.swapaxes(1, 2), plan.fold_t, out=out), terms
+    # Backward through the softmax over the tokens.
+    return a * (g_a - np.add.reduce(g_a * a, 1, keepdims=True)), terms
 
 
 def _guided_step(z: np.ndarray, index: int, plan: _Plan,
                  cfgs: Sequence[GuidanceConfig],
-                 grad: np.ndarray | None = None
+                 work: np.ndarray | None = None
                  ) -> Iterator[tuple[np.ndarray, _Terms]]:
     """Guided timestep ``index`` of a stack z, which it updates in place.
 
@@ -567,27 +585,34 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     (``_trajectories`` checks the order), so they are the prefix ``z[:m]``;
     the items after them keep their latent. The live items take their
     updates together, one stacked loss call per iteration on constants
-    built once for the step, each gradient written into ``grad[:m]`` (a
-    fresh array per call when no ``grad`` is given). After each iteration's
-    update it yields ``(values, terms)``: the (m, n, q) attention values
-    the update read, a fresh array, and the live items' loss terms. With no
-    live item it yields nothing.
+    built once for the step. The iterations step the live items' logits,
+    computed once from z: each moves them by ``-plan.gram @ s g`` for its
+    logit gradient g at step size s, which is what ``z -= (s g)^T F`` does
+    to them. After each iteration's update it yields ``(values, terms)``:
+    the (m, n, q) attention values the update read, a fresh array, and the
+    live items' loss terms. z is written once, after the last yield, by the
+    sum of the steps taken to the latent through ``work[:m]`` (a fresh
+    array when no ``work`` is given): a caller reads the updated z only
+    once the step is exhausted. With no live item it yields nothing.
     """
     m = sum(index < cfg.guided_steps for cfg in cfgs)
     if not m:
         return
     zr, part = z[:m], cfgs[:m]
-    out = None if grad is None else grad[:m]
     stack = _Stack.of(plan, part)
     # update_latent's step, gamma * lambda, per item.
     step = np.array([c.gamma * schedule(index, c) for c in part])
     step = step.reshape(-1, 1, 1)
+    logits = plan.fold_t @ zr.swapaxes(-1, -2)
+    total = np.zeros_like(logits)
     for _ in range(part[0].iterations_per_step):
-        values = _attention(plan, zr)
-        g, terms = _loss_and_grad(plan, values, stack, out=out)
+        values = _softmax(logits)
+        g, terms = _loss_and_grad(plan, values, stack)
         g *= step
-        zr -= g
+        logits -= plan.gram @ g
+        total += g
         yield values, terms
+    zr -= _to_latent(plan, total, None if work is None else work[:m])
 
 
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
@@ -606,8 +631,7 @@ def _noise_draws(backbone: BackboneConfig, rng_seed: int
 def _trajectories(plan: _Plan, z0: np.ndarray,
                   draws: Iterable[np.ndarray],
                   cfgs: Sequence[GuidanceConfig], backbone: BackboneConfig
-                  ) -> Iterator[tuple[list[list[LossBreakdown]], np.ndarray,
-                                      np.ndarray]]:
+                  ) -> Iterator[tuple[list[_Terms], np.ndarray, np.ndarray]]:
     """Run one trajectory per config as one stack of latents, yielding after
     each timestep's denoise.
 
@@ -619,11 +643,13 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     items come in order of ``guided_steps``, largest first, so the items a
     guided step updates lead the stack. Both conditions are checked once,
     and a stack that breaks one raises ``ContractError``. Each
-    item is bit-identical to its own run. Each yield is ``(losses,
-    attention, z)``: every item's loss breakdowns of the timestep, the
-    token-major (B, n, q) attention the denoise read, a fresh array, and
-    the stack (B, q, d_z) after the denoise, which the next timestep
-    changes in place.
+    item is bit-identical to its own run. Each yield is ``(terms,
+    attention, z)``: the timestep's loss terms, one ``_Terms`` per guided
+    iteration whose entries are the live items', the prefix of the stack
+    the iteration updated (none at an unguided timestep); the token-major
+    (B, n, q) attention the denoise read, a fresh array; and the stack
+    (B, q, d_z) after the denoise, which the next timestep changes in
+    place.
     """
     if any(a.guided_steps < b.guided_steps for a, b in zip(cfgs, cfgs[1:])):
         raise ContractError("the items of a stack must come in order of "
@@ -635,8 +661,11 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
     rho = backbone.rho
     e_v = plan.keys
     value_rms = float(np.sqrt((e_v * e_v).sum() / e_v.size))  # as np.mean
+    # The denoiser's values scaled by rho once, so that the denoise reads
+    # rho A^T E_v as one product.
+    rho_e_v = rho * e_v
     guided = max((c.guided_steps for c in cfgs), default=0)
-    # The stack and one work array, for the guided steps' gradients and
+    # The stack and one work array, for the guided steps' latent steps and
     # then the denoise's increments: the updates, the denoise and the noise
     # write into them in place, the same operations as fresh arrays without
     # allocating.
@@ -649,18 +678,14 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
         # warnings. The state is set per timestep, so that it never spans
         # a yield and leaks into the caller.
         with np.errstate(over="ignore", invalid="ignore"):
-            losses: list[list[LossBreakdown]] = [[] for _ in cfgs]
-            if index < guided:
-                for _, terms in _guided_step(z, index, plan, cfgs, work):
-                    for item, breakdown in zip(losses, _breakdowns(terms)):
-                        item.append(breakdown)
+            terms = ([t for _, t in _guided_step(z, index, plan, cfgs, work)]
+                     if index < guided else [])
             attn = _attention(plan, z)
-            # denoise_step on every item: (1 - rho) z + rho (A^T E_v), then
+            # denoise_step on every item: (1 - rho) z + A^T (rho E_v), then
             # sigma times the shared draw.
             sigma = effective_noise(
                 backbone, t, z, expected_latent_rms(backbone, index, value_rms))
-            delta = np.matmul(attn.swapaxes(1, 2), e_v, out=work)
-            delta *= rho
+            delta = np.matmul(attn.swapaxes(1, 2), rho_e_v, out=work)
             z *= 1.0 - rho
             z += delta
             np.multiply(sigma[:, None, None], draw, out=delta)
@@ -675,7 +700,7 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             raise ContractError(
                 f"latent turned non-finite at timestep {index} "
                 f"(t={t}); gamma={bad.gamma:g} is too large")
-        yield losses, attn, z
+        yield terms, attn, z
 
 
 def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
@@ -695,11 +720,12 @@ def guided_sample(layout: Layout, cfg: GuidanceConfig, backbone: BackboneConfig,
     """
     plan, start = _setup(layout, backbone, seeds)
     steps = []
-    for losses, attn, z in _trajectories(
+    for terms, attn, z in _trajectories(
             plan, start.z, _noise_draws(backbone, start.rng_seed), [cfg],
             backbone):
-        steps.append(StepRecord(losses=tuple(losses[0]),
-                                attention=attn[0].T))
+        steps.append(StepRecord(
+            losses=tuple(_breakdowns(t)[0] for t in terms),
+            attention=attn[0].T))
     return GuidedRun(layout=layout, config=cfg, backbone=backbone,
                      tokens=plan.tokens, steps=tuple(steps), final_z=z[0],
                      final_attention=_attention(plan, z)[0].T)
@@ -793,7 +819,7 @@ def gradient_check(seed: int, resolution: int = 8, content_words: int = 4,
     consts = _Stack.of(plan, [cfg] * width)
     base = _attention(plan, z0[None])
     grads, held = _loss_and_grad(plan, base, consts.prefix(1))
-    analytic, target = grads[0], held.target[0]
+    analytic, target = _to_latent(plan, grads)[0], held.target[0]
     norms = held.peaks[0] if detach_norms else None
 
     # The items of every chunk, built once: a chunk of c coordinates stacks

@@ -223,11 +223,16 @@ def test_effective_noise_gives_each_item_of_a_stack_its_own_sigma():
     scales = np.array([0.01, 0.1, 1.0, 10.0, 100.0])[:, None, None]
     z = rng.standard_normal((5, CFG.q, CFG.d_z)) * scales
     sigma = effective_noise(CFG, 30, z, expected_rms=0.5)
-    # The per-latent formula, one Python float at a time.
+    # Each item's sigma is its latent's alone, bit for bit.
+    assert sigma.shape == (5,) and sigma.tolist() == [
+        float(effective_noise(CFG, 30, item, expected_rms=0.5)) for item in z]
+    # The per-latent formula, one Python float at a time. np.mean adds the
+    # squares pairwise and effective_noise as one contraction, in another
+    # order: on these latents the sigmas differ by at most 7.4e-16 relative.
     want = [noise_scale(CFG, 30) * (1.0 + CFG.ood_noise_gain * max(
                 0.0, float(np.sqrt(np.mean(item * item))) / 0.5 - CFG.ood_slack))
             for item in z]
-    assert sigma.shape == (5,) and sigma.tolist() == want
+    assert np.allclose(sigma, want, rtol=1e-15, atol=0.0)
     assert sigma[0] == noise_scale(CFG, 30) < sigma[-1]
     z[1, 0, 0] = np.nan
     assert np.isnan(effective_noise(CFG, 30, z, expected_rms=0.5)).tolist() \

@@ -462,8 +462,10 @@ def test_benchmark_records_equal_solo_runs_and_equal_configs_run_once(
             for seed in seeds:
                 run = guided_sample(layout, gcfg, backbone, seed)
                 metrics, _ = _evaluate(layout, run.final_attention)
-                records.append(_record(name, seed, label, gcfg,
-                                       run.loss_curve(), metrics))
+                curve = {key: [getattr(bd, key) for bd in run.loss_curve()]
+                         for key in ("lac", "ptc", "total")}
+                records.append(_record(name, seed, label, gcfg, curve,
+                                       metrics))
         return records
 
     solo = [solo_records(label, gcfg) for label, gcfg in groups]
@@ -567,19 +569,18 @@ def test_cross_mass_probe_leaves_the_start_latent_unchanged(monkeypatch):
 
 def test_cross_mass_probe_averages_five_distinct_attention_arrays(
         monkeypatch):
-    """The probe's attention forwards, counted at every binding, are the
-    guided step's one per inner iteration, each its own array: none is a
-    view of a reused buffer."""
+    """The probe's attention forwards, counted at the softmax every one of
+    them runs, are the guided step's one per inner iteration, each its own
+    array: none is a view of a reused buffer."""
     seen = []
-    original = guidance._attention
+    original = guidance._softmax
 
     def recording(*args):
         out = original(*args)
         seen.append(out)
         return out
 
-    for module in (guidance, evaluate):
-        monkeypatch.setattr(module, "_attention", recording)
+    monkeypatch.setattr(guidance, "_softmax", recording)
     cross_mass_probe(LAYOUT, GuidanceConfig(), BackboneConfig(), 0)
     assert len(seen) == GuidanceConfig().iterations_per_step == 5
     for i, a in enumerate(seen):

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from loco.backbone import (BackboneConfig, Seeds,
@@ -22,7 +22,7 @@ from loco.evaluate import ARMS, arm_config, run_benchmark
 from loco import guidance
 from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig, _Stack,
                            _attention, _breakdowns, _check_instance, _loss_and_grad,
-                           _noise_draws, _setup, _trajectories,
+                           _noise_draws, _setup, _to_latent, _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
@@ -419,11 +419,13 @@ def _stacked_run(layout, cfgs, seed, backbone=BCFG):
     of its run, plus a copy of each timestep's latent."""
     plan, start = _setup(layout, backbone, seed)
     steps = [[] for _ in cfgs]
-    for losses, attn, z in _trajectories(
+    for terms, attn, z in _trajectories(
             plan, start.z, _noise_draws(backbone, start.rng_seed), cfgs,
             backbone):
+        losses = [_breakdowns(t) for t in terms]
         for i, item in enumerate(steps):
-            item.append(Step(tuple(losses[i]), attn[i].T, z[i].copy()))
+            item.append(Step(tuple(bd[i] for bd in losses if len(bd) > i),
+                             attn[i].T, z[i].copy()))
     attn = _attention(plan, z)
     return [Track(curve=[bd for step in item for bd in step.losses],
                   steps=item, z=z[i], attention=attn[i].T)
@@ -666,7 +668,11 @@ def _stack_problems(draw):
     return layout, cfgs
 
 
-@settings(max_examples=25, deadline=None)
+# No shrink phase: each shrink step reruns a stack and its solo runs, so
+# shrinking a failure takes minutes, and a drawn stack is small enough to
+# read as it is reported.
+@settings(max_examples=25, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(problem=_stack_problems(), seed=st.integers(0, 2 ** 16))
 def test_drawn_stacks_equal_each_items_solo_run(problem, seed):
     """On drawn layouts and stacks at resolution 8, each item's losses,
@@ -678,6 +684,64 @@ def test_drawn_stacks_equal_each_items_solo_run(problem, seed):
         run = guided_sample(layout, cfg, backbone, seed)
         _assert_same_run(track, run)
         assert track.z.tobytes() == run.final_z.tobytes()
+
+
+def _latent_step_reference(z, index, plan, cfgs):
+    """``_guided_step`` taken in the latent: each iteration recomputes
+    ``_attention`` from the live items' latents and steps them by
+    ``(s g)^T F`` for the logit gradient g at step size s. Yields what the
+    engine yields."""
+    m = sum(index < cfg.guided_steps for cfg in cfgs)
+    if not m:
+        return
+    zr, stack = z[:m], _Stack.of(plan, cfgs[:m])
+    step = np.array([c.gamma * schedule(index, c) for c in cfgs[:m]])
+    for _ in range(cfgs[0].iterations_per_step):
+        values = _attention(plan, zr)
+        g, terms = _loss_and_grad(plan, values, stack)
+        zr -= np.matmul((step[:, None, None] * g).swapaxes(1, 2),
+                        plan.fold_t)
+        yield values, terms
+
+
+def _assert_logit_step_ties_latent_step(layout, seed, cfgs, index=0,
+                                        backbone=BCFG):
+    """From the start latent, guided step ``index`` of a stack taken in
+    logit space yields the attention the latent-space reference yields, and
+    leaves the latents it leaves, to ``VALUE_ATOL``."""
+    plan, start = _setup(layout, backbone, seed)
+    z = np.repeat(start.z[None], len(cfgs), axis=0)
+    want_z = z.copy()
+    got = list(guidance._guided_step(z, index, plan, cfgs))
+    want = list(_latent_step_reference(want_z, index, plan, cfgs))
+    assert len(got) == len(want)
+    for (values, _), (reference, _) in zip(got, want):
+        assert_values_close(values, reference)
+    assert_values_close(z, want_z)
+
+
+def test_logit_step_ties_the_latent_step_on_the_suite():
+    """Every arm and sweep point of the benchmark, as one stack, over the
+    suite and two seeds, at the first guided step, the largest."""
+    stack = [arm_config(GuidanceConfig(), arm) for arm in ARMS[1:]]
+    stack += [GuidanceConfig(gamma=g) for g in (1.0, 5.0, 30.0, 300.0)]
+    stack += [arm_config(GuidanceConfig(), ARMS[0])]
+    for _, layout in load_suite(bundled_suite_dir()):
+        for seed in (0, 1):
+            _assert_logit_step_ties_latent_step(layout, seed, stack)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=_stack_problems(), seed=st.integers(0, 2 ** 16),
+       index=st.integers(0, 9))
+def test_logit_step_ties_the_latent_step_on_drawn_stacks(problem, seed,
+                                                          index):
+    """The tie above on drawn layouts and stacks at resolution 8, at a drawn
+    guided step that the leading item takes."""
+    layout, cfgs = problem
+    index %= max(cfgs[0].guided_steps, 1)
+    _assert_logit_step_ties_latent_step(layout, seed, cfgs, index,
+                                        BackboneConfig(resolution=8))
 
 
 @pytest.mark.parametrize("seed", [-1, True, 2.5, "3", None,
@@ -801,7 +865,7 @@ def test_gradient_check_differences_equal_one_coordinate_at_a_time(
                             n_objects=objects, detach_norms=detach)
     want = central_difference(f, z0, h=FD_STEP)
     assert result.numeric.tobytes() == want.tobytes()
-    assert result.analytic.tobytes() == grads[0].tobytes()
+    assert result.analytic.tobytes() == _to_latent(plan, grads)[0].tobytes()
 
 
 @pytest.mark.parametrize("resolution,calls", [(8, 17), (6, 10)])
@@ -919,8 +983,9 @@ def _assert_tied(plan, proj, z, layout, cfgs, grad_rtol=GRAD_RTOL,
     ``ptc_reference``, a function of an item's (n, q) attention values,
     ptc and total tie that reference instead of the tape's."""
     values = _attention(plan, z)
-    grads, terms = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
-                                  **overrides)
+    g_logits, terms = _loss_and_grad(plan, values, _Stack.of(plan, cfgs),
+                                     **overrides)
+    grads = _to_latent(plan, g_logits)
     breakdowns = _breakdowns(terms)
     for item, cfg, grad, breakdown, value in zip(z, cfgs, grads, breakdowns,
                                                  values):
