@@ -3,7 +3,8 @@
 
 The artifacts are a one-seed benchmark report over three suite layouts with
 the gamma sweep, the analytic and numeric gradients of eight gradient
-checks (four seeds, both detach modes), the final latent and loss curve of
+checks (four seeds, both detach modes; one hash each, so a change to one
+side shows apart from the other), the final latent and loss curve of
 three guided runs, the ``cross_mass_probe`` values of every suite layout at
 two seeds and two configs (as a list of float-hex strings), and every file
 the command line writes, made through ``main()``: ``loco generate`` on
@@ -108,8 +109,9 @@ def artifacts(work: Path) -> dict[str, str]:
     for seed in CHECK_SEEDS:
         for detach in (False, True):
             check = gradient_check(seed, detach_norms=detach)
-            out[f"gradcheck_{seed}_detach_{detach}"] = _sha(check.analytic,
-                                                            check.numeric)
+            name = f"gradcheck_{seed}_detach_{detach}"
+            out[f"{name}_analytic"] = _sha(check.analytic)
+            out[f"{name}_numeric"] = _sha(check.numeric)
     for label, cfg in RUN_CONFIGS.items():
         run = guided_sample(bundled[RUN_LAYOUT], cfg, BackboneConfig(), 0)
         curve = np.array([[bd.lac, bd.ptc, bd.total]
