@@ -1,5 +1,6 @@
 """Label decoding, detection, metrics, and the benchmark harness."""
 
+import functools
 import json
 
 import numpy as np
@@ -364,24 +365,28 @@ def test_bundled_suite_composition():
     assert any(len(p.span) > 1 for _, layout in suite for p in layout.phrases)
 
 
-def _reversed_objects(doc):
-    """A layout document with its objects in reverse order and its
-    relations re-indexed to match."""
-    k = len(doc["objects"])
-    return {**doc, "objects": doc["objects"][::-1],
-            "relations": [{**r, "a": k - 1 - r["a"], "b": k - 1 - r["b"]}
+def _permuted_objects(doc, order):
+    """A layout document whose object j is ``doc``'s object ``order[j]``,
+    with its relations re-indexed to match."""
+    new = {old: j for j, old in enumerate(order)}
+    return {**doc, "objects": [doc["objects"][i] for i in order],
+            "relations": [{**r, "a": new[r["a"]], "b": new[r["b"]]}
                           for r in doc.get("relations", [])]}
 
 
-def _objects_reversed(record):
+def _objects_permuted(record, order):
     """A record with its object scores and cross-box masses indexed in the
-    reverse object order."""
-    k = len(record["objects"])
+    object order of ``_permuted_objects(doc, order)``."""
+    mass = record["cross_box_mass"]
     return {**record,
-            "objects": [{**o, "index": k - 1 - o["index"]}
-                        for o in record["objects"][::-1]],
-            "cross_box_mass": [row[::-1]
-                               for row in record["cross_box_mass"][::-1]]}
+            "objects": [{**record["objects"][i], "index": j}
+                        for j, i in enumerate(order)],
+            "cross_box_mass": [[mass[i][l] for l in order] for i in order]}
+
+
+def _suite_docs():
+    return {path.stem: json.loads(path.read_text())
+            for path in sorted(bundled_suite_dir().glob("*.json"))}
 
 
 def test_records_do_not_depend_on_the_object_order():
@@ -391,17 +396,50 @@ def test_records_do_not_depend_on_the_object_order():
     seed; each stack runs the default and lac_wo_norm configs among its
     arms. No oracle is involved, so this ties the closed form's index
     plumbing (selector columns, box rows, peaks, relations) on its own."""
-    docs = {path.stem: json.loads(path.read_text())
-            for path in sorted(bundled_suite_dir().glob("*.json"))}
+    docs = _suite_docs()
 
-    def records(edit):
-        suite = [(name, layout_from_dict(edit(doc)))
+    def records(order):
+        """The records with each layout's k objects in ``order(k)``."""
+        suite = [(name, layout_from_dict(
+                     _permuted_objects(doc, order(len(doc["objects"])))))
                  for name, doc in docs.items()]
         return run_benchmark(suite, GuidanceConfig(), BackboneConfig(),
                              seeds=[0]).records
 
-    diff = compare(records(lambda doc: doc),
-                   [_objects_reversed(r) for r in records(_reversed_objects)])
+    reverse = [_objects_permuted(r, range(len(r["objects"]))[::-1])
+               for r in records(range)]
+    diff = compare(records(lambda k: range(k)[::-1]), reverse)
+    assert diff.within(), diff.verdict()
+    assert diff.floats > 0
+
+
+@functools.cache
+def _permuted_records(name, order, seed):
+    """One seed's records of suite layout ``name`` with its objects in
+    ``order`` (as ``_permuted_objects``)."""
+    layout = layout_from_dict(_permuted_objects(_suite_docs()[name], order))
+    return run_benchmark([(name, layout)], GuidanceConfig(), BackboneConfig(),
+                         seeds=[seed]).records
+
+
+@st.composite
+def _suite_permutations(draw):
+    """A suite layout's name and a permutation of its objects."""
+    name, doc = draw(st.sampled_from(sorted(_suite_docs().items())))
+    return name, tuple(draw(st.permutations(range(len(doc["objects"])))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=_suite_permutations(), seed=st.integers(0, 1))
+def test_records_do_not_depend_on_a_drawn_object_order(problem, seed):
+    """Any permutation of a suite layout's objects, with its relations
+    re-indexed, only permutes each record's object scores, as the reversal
+    above does. A reversal cannot tell object i's divisor from object
+    k - 1 - i's; a drawn permutation of three or four objects can."""
+    name, order = problem
+    base = _permuted_records(name, tuple(sorted(order)), seed)
+    diff = compare(_permuted_records(name, order, seed),
+                   [_objects_permuted(r, order) for r in base])
     assert diff.within(), diff.verdict()
     assert diff.floats > 0
 
@@ -414,8 +452,7 @@ def test_records_do_not_depend_on_how_a_relation_is_stated():
     """Stating each suite relation from its other end, ``left(a, b)`` as
     ``right(b, a)`` and ``above(a, b)`` as ``below(b, a)``, leaves every
     record equal, ``relations_correct`` included. One seed, all arms."""
-    docs = {path.stem: json.loads(path.read_text())
-            for path in sorted(bundled_suite_dir().glob("*.json"))}
+    docs = _suite_docs()
 
     def mirrored(doc):
         return {**doc, "relations": [
