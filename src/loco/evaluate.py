@@ -21,7 +21,8 @@ from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
 from .guidance import (GuidanceConfig, _attention, _flat_masks,
                        _guided_step, _is_nonnegative_int, _noise_draws,
-                       _setup, _trajectories, object_maps)
+                       _phrase_selector, _plan, _seeded, _setup,
+                       _trajectories)
 # Not called here; it stays a module attribute because perfbench's layer trace
 # and speed probe rebind it here.
 from .guidance import guided_sample  # noqa: F401
@@ -82,14 +83,17 @@ class LayoutMetrics:
         return float(np.mean([o.iou for o in self.objects]))
 
 
-def _grid_side(attn: np.ndarray) -> int:
-    """The side of the square grid whose cells are the rows of a (q, n)
-    attention array."""
+def _solo(layout: Layout, attn: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (q, n) attention array over a square grid of q cells as the
+    scoring core's operands: a stack of one, (1, n, q), the phrase selector,
+    (n, k), and the box rows, (k, q)."""
     q = attn.shape[0]
     side = math.isqrt(q)
     if side * side != q:
         raise ShapeError(f"{q} attention rows do not form a square grid")
-    return side
+    return (attn.T[None], _phrase_selector(layout.phrases, attn.shape[1]),
+            _flat_masks([rasterize_box(b, side) for b in layout.boxes], q))
 
 
 def decode_labels(attn: np.ndarray, layout: Layout) -> np.ndarray:
@@ -99,30 +103,41 @@ def decode_labels(attn: np.ndarray, layout: Layout) -> np.ndarray:
     Returns a (resolution, resolution) integer grid with 0 for background
     and i+1 for object i.
     """
-    res = _grid_side(attn)
-    maps = object_maps(attn, layout)
-    peaks = np.maximum(maps.max(axis=1, keepdims=True), 1e-12)
-    scaled = maps / peaks
-    best = scaled.argmax(axis=0)
-    best_value = scaled.max(axis=0)
-    labels = np.where(best_value >= TAU, best + 1, 0)
-    return labels.reshape(res, res).astype(np.int64)
+    a, sel, _ = _solo(layout, attn)
+    return _decode(sel.T @ a)[0]
+
+
+def _decode(maps: np.ndarray) -> np.ndarray:
+    """``decode_labels`` of stacked object maps, (B, k, q): (B, side, side)."""
+    scaled = maps / np.maximum(maps.max(axis=-1, keepdims=True), 1e-12)
+    labels = np.where(scaled.max(axis=1) >= TAU, scaled.argmax(axis=1) + 1, 0)
+    side = math.isqrt(maps.shape[-1])
+    return labels.reshape(-1, side, side).astype(np.int64)
 
 
 def _components(labels: np.ndarray) -> np.ndarray:
-    """Each cell's 4-connected component among the cells of its label, named
-    by the flat index of the component's first cell in raster order: min-label
-    propagation between equal neighbours, with pointer jumping."""
-    root = np.arange(labels.size).reshape(labels.shape)
-    right = labels[:, 1:] == labels[:, :-1]
-    down = labels[1:] == labels[:-1]
+    """Each cell's 4-connected component among the cells of its label in a
+    stack of grids, (B, side, side), named by the flat index of its first
+    cell in raster order. Each round takes the least root over each run of
+    equal labels in a row, then in a column, then jumps each root to its
+    root, until nothing changes. Runs break at every row and column start,
+    so none crosses a row end or a grid boundary."""
+    b, side = labels.shape[:2]
+    flat = labels.reshape(-1)
+    # The cells in column-major order, one grid after the other.
+    down = np.arange(flat.size).reshape(b, side, side).swapaxes(1, 2).ravel()
+    runs = []
+    for seq in (flat, flat[down]):
+        start = np.r_[True, seq[1:] != seq[:-1]]
+        start[::side] = True
+        runs.append((np.flatnonzero(start), np.cumsum(start) - 1))
+    (rows, row_run), (cols, col_run) = runs
+    col_run[down] = col_run.copy()  # each cell's column run, in raster order
+    root = np.arange(flat.size)
     while True:
-        low = root.copy()
-        np.minimum(low[:, 1:], root[:, :-1], out=low[:, 1:], where=right)
-        np.minimum(low[:, :-1], root[:, 1:], out=low[:, :-1], where=right)
-        np.minimum(low[1:], root[:-1], out=low[1:], where=down)
-        np.minimum(low[:-1], root[1:], out=low[:-1], where=down)
-        low = low.reshape(-1)[low]
+        low = np.minimum.reduceat(root, rows)[row_run]
+        low = np.minimum.reduceat(low[down], cols)[col_run]
+        low = low[low]
         if np.array_equal(low, root):
             return root
         root = low
@@ -140,27 +155,42 @@ def detect_regions(labels: np.ndarray) -> list[Detection]:
         raise ShapeError(f"labels of shape {labels.shape} are not a square grid")
     if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
         raise ContractError("labels must be nonnegative integers")
-    res = labels.shape[0]
-    root = _components(labels).reshape(-1)
-    sizes = np.bincount(root, minlength=root.size)  # nonzero only at roots
+    return _detect(labels[None])[0]
+
+
+def _detect(labels: np.ndarray) -> list[list[Detection]]:
+    """``detect_regions`` of each grid of a stack, (B, side, side)."""
+    b, side = labels.shape[:2]
+    q = side * side
     flat = labels.reshape(-1)
-    detections: list[Detection] = []
-    for value in np.unique(flat[flat > 0]):
-        # The first max: of equally large components, the lowest root.
-        largest = np.argmax(np.where(flat == value, sizes, 0))
-        rows, cols = np.divmod(np.flatnonzero(root == largest), res)
-        box = BoundingBox(
-            x0=cols.min() / res,
-            y0=rows.min() / res,
-            x1=(cols.max() + 1) / res,
-            y1=(rows.max() + 1) / res,
-        )
-        centroid = (
-            float((cols.mean() + 0.5) / res),
-            float((rows.mean() + 0.5) / res),
-        )
-        detections.append(Detection(index=int(value) - 1, box=box,
-                                    area=int(len(rows)), centroid=centroid))
+    root = _components(labels)
+    cell = np.arange(flat.size)
+    size = np.bincount(root, minlength=flat.size)
+    # Per (grid, label) key, the largest component, of equally large ones
+    # the lowest root; keys ascend, so each grid's labels do.
+    key = cell // q * (int(flat.max(initial=0)) + 1) + flat
+    roots = np.flatnonzero((root == cell) & (flat > 0))
+    ranked = roots[np.lexsort((roots, -size[roots], key[roots]))]
+    chosen = ranked[np.unique(key[ranked], return_index=True)[1]]
+    # Every component's extent; a root, its first cell, is in its top row.
+    y, x = np.divmod(cell % q, side)
+    left = np.full(flat.size, side)
+    right, bottom = np.zeros((2, flat.size), dtype=np.int64)
+    np.minimum.at(left, root, x)
+    np.maximum.at(right, root, x)
+    np.maximum.at(bottom, root, y)
+    box = np.stack((left[chosen], y[chosen], right[chosen] + 1,
+                    bottom[chosen] + 1)) / side
+    # Sums of integers are exact, so each mean has np.mean's bits.
+    sums = np.stack([np.bincount(root, v, flat.size)[chosen] for v in (x, y)])
+    mid = (sums / size[chosen] + 0.5) / side
+    detections: list[list[Detection]] = [[] for _ in range(b)]
+    for r, x0, y0, x1, y1, n, cx, cy in zip(
+            chosen.tolist(), *box.tolist(), size[chosen].tolist(),
+            *mid.tolist()):
+        detections[r // q].append(Detection(
+            index=int(flat[r]) - 1, box=BoundingBox(x0, y0, x1, y1), area=n,
+            centroid=(cx, cy)))
     return detections
 
 
@@ -196,39 +226,62 @@ def layout_metrics(detections: Sequence[Detection], layout: Layout,
     centroids; an undetected endpoint makes the relation incorrect.
     ``attn`` is a (q, n) attention array over a square grid of q cells.
     """
-    by_index = {d.index: d for d in detections}
-    masks = [rasterize_box(b, _grid_side(attn)) for b in layout.boxes]
-    maps = object_maps(attn, layout)
-    flats = _flat_masks(masks, maps.shape[1])
-    # Every row sum runs along the same contiguous axis as the per-pair
-    # np.sum(maps[i] * flats[j]), so each entry has the per-pair bits.
-    cross = tuple(map(tuple, (
-        (maps[:, None] * flats[None]).sum(axis=-1)
-        / np.maximum(maps.sum(axis=-1), 1e-12)[:, None]).tolist()))
+    a, sel, flats = _solo(layout, attn)
+    return _metrics([detections], layout, sel.T @ a, flats)[0]
 
-    objects = []
-    for i, gt_box in enumerate(layout.boxes):
-        det = by_index.get(i)
-        inbox = cross[i][i]
-        if det is None:
-            objects.append(ObjectScore(index=i, detected=False, iou=0.0,
-                                       inbox_mass=inbox))
-        else:
-            objects.append(ObjectScore(index=i, detected=True,
-                                       iou=iou(det.box, gt_box),
-                                       inbox_mass=inbox))
-    all_correct = all(o.detected and o.iou >= IOU_THRESHOLD for o in objects)
 
-    correct = 0
-    for rel in layout.relations:
-        da, db = by_index.get(rel.a), by_index.get(rel.b)
-        if da is not None and db is not None and _relation_holds(
-                rel.kind, da.centroid, db.centroid):
-            correct += 1
+def _cross_mass(maps: np.ndarray, flats: np.ndarray) -> np.ndarray:
+    """Each object's mass in each box, (B, k, k): [b, i, j] sums item b's
+    map i over box j, along the same contiguous axis as the per-pair
+    np.sum(maps[b, i] * flats[j]), so with its bits."""
+    return np.add.reduce(maps[:, :, None] * flats, -1)
 
-    return LayoutMetrics(objects=tuple(objects), all_correct=all_correct,
-                         relations_total=len(layout.relations),
-                         relations_correct=correct, cross_box_mass=cross)
+
+def _metrics(detections: Sequence[Sequence[Detection]], layout: Layout,
+             maps: np.ndarray, flats: np.ndarray) -> list[LayoutMetrics]:
+    """``layout_metrics`` of each item of a stack, from its detections and
+    object maps, (B, k, q), and the box rows flats, (k, q)."""
+    every = np.maximum(np.add.reduce(maps, -1), 1e-12)[..., None]
+    scores = []
+    for dets, cross in zip(detections,
+                           (_cross_mass(maps, flats) / every).tolist()):
+        by_index = {d.index: d for d in dets}
+        objects = []
+        for i, gt_box in enumerate(layout.boxes):
+            det = by_index.get(i)
+            inbox = cross[i][i]
+            if det is None:
+                objects.append(ObjectScore(index=i, detected=False, iou=0.0,
+                                           inbox_mass=inbox))
+            else:
+                objects.append(ObjectScore(index=i, detected=True,
+                                           iou=iou(det.box, gt_box),
+                                           inbox_mass=inbox))
+        all_correct = all(o.detected and o.iou >= IOU_THRESHOLD
+                          for o in objects)
+
+        correct = 0
+        for rel in layout.relations:
+            da, db = by_index.get(rel.a), by_index.get(rel.b)
+            if da is not None and db is not None and _relation_holds(
+                    rel.kind, da.centroid, db.centroid):
+                correct += 1
+
+        scores.append(LayoutMetrics(
+            objects=tuple(objects), all_correct=all_correct,
+            relations_total=len(layout.relations), relations_correct=correct,
+            cross_box_mass=tuple(map(tuple, cross))))
+    return scores
+
+
+def _score(layout: Layout, a: np.ndarray, sel: np.ndarray, flats: np.ndarray
+           ) -> list[tuple[LayoutMetrics, np.ndarray]]:
+    """Each item's metrics and label map from stacked token-major attention,
+    (B, n, q), the phrase selector's columns sel, (n, k), and the box rows
+    flats, (k, q): one product for the object maps, then stacked scoring."""
+    maps = sel.T @ a
+    labels = _decode(maps)
+    return list(zip(_metrics(_detect(labels), layout, maps, flats), labels))
 
 
 def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
@@ -248,12 +301,11 @@ def cross_mass_probe(layout: Layout, cfg: GuidanceConfig,
     if cfg.guided_steps < 1:
         raise ContractError("cross-box mass needs a guided step")
     plan, start = _setup(layout, backbone, seed)
-    values = []
-    for attn, _ in _guided_step(start.z[None].copy(), 0, plan, [cfg]):
-        maps = object_maps(attn[0].T, layout)
-        values += [float((maps[i] * plan.flats[j]).sum())
-                   for i in range(layout.k) for j in range(layout.k) if i != j]
-    return float(np.mean(values))
+    sel, pairs = plan.sel_ext[:, :layout.k], ~np.eye(layout.k, dtype=bool)
+    values = [_cross_mass(sel.T @ attn, plan.flats)[0][pairs]
+              for attn, _ in _guided_step(start.z[None].copy(), 0, plan,
+                                          [cfg])]
+    return float(np.mean(np.concatenate(values)))
 
 
 def arm_config(cfg: GuidanceConfig, arm: str) -> GuidanceConfig:
@@ -270,10 +322,8 @@ def arm_config(cfg: GuidanceConfig, arm: str) -> GuidanceConfig:
 
 def _evaluate(layout: Layout,
               attn: np.ndarray) -> tuple[LayoutMetrics, np.ndarray]:
-    """Metrics and label map of a run's final attention."""
-    labels = decode_labels(attn, layout)
-    detections = detect_regions(labels)
-    return layout_metrics(detections, layout, attn), labels
+    """Metrics and label map of a run's final attention, (q, n)."""
+    return _score(layout, *_solo(layout, attn))[0]
 
 
 def _loss_curve(rows: Sequence[tuple[list[float], ...]], item: int) -> dict:
@@ -383,20 +433,20 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
     # run outermost, because the noise draws depend on the seed alone.
     cells: dict[tuple[int, int], list[dict]] = {}
     for j, seed in enumerate(seeds):
-        draws = None
+        # The seed's projections, start latent and draws, for all its layouts.
+        sub_seeds, proj, start = _seeded(backbone, seed)
+        draws = list(_noise_draws(backbone, start.rng_seed))
         for i, (name, layout) in enumerate(suite):
-            plan, start = _setup(layout, backbone, seed)
-            if draws is None:  # the seed's draws, for all its layouts
-                draws = list(_noise_draws(backbone, start.rng_seed))
+            plan = _plan(layout, backbone, sub_seeds, proj)
             rows = []
             for terms, _, z in _trajectories(plan, start.z, draws, configs,
                                              backbone):
                 rows += [(t.lac.tolist(), t.ptc.tolist(), t.total.tolist())
                          for t in terms]
-            scores = [_evaluate(layout, attn.T)[0]
-                      for attn in _attention(plan, z)]
+            scores = _score(layout, _attention(plan, z),
+                            plan.sel_ext[:, :layout.k], plan.flats)
             cells[i, j] = [_record(name, seed, label, gcfg,
-                                   _loss_curve(rows, k), scores[k])
+                                   _loss_curve(rows, k), scores[k][0])
                            for (label, gcfg), k in zip(groups, items)]
     per_group = zip(*(cells[key] for key in sorted(cells)))
 

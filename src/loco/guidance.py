@@ -30,6 +30,7 @@ from . import diffmath as dm
 from .backbone import (
     BackboneConfig,
     LatentState,
+    ProjectionSet,
     Seeds,
     TokenSet,
     _check_fields,
@@ -130,17 +131,10 @@ def object_attention(attn: Var, phrase: Phrase) -> Var:
     return dm.matmul(attn, attn.tape.constant(sel))
 
 
-def _phrase_maps(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """The object maps of attention values (..., q, n) under selector sel,
-    (..., k, q), as one product."""
-    return sel.T @ np.swapaxes(values, -1, -2)
-
-
 def object_maps(values: np.ndarray, layout: Layout) -> np.ndarray:
     """Object maps off the tape, (k, q): row i is ``values @ S[:, i]``, the
-    maps the guided loop's loss reads."""
-    return _phrase_maps(values, _phrase_selector(layout.phrases,
-                                                 values.shape[1]))
+    maps the guided loop's loss reads, as one product."""
+    return _phrase_selector(layout.phrases, values.shape[1]).T @ values.T
 
 
 def _flat_masks(masks: Sequence[np.ndarray], q: int) -> np.ndarray:
@@ -337,15 +331,22 @@ def _is_nonnegative_int(value) -> bool:
         and value >= 0
 
 
-def _setup(layout: Layout, backbone: BackboneConfig, seed: int
-           ) -> tuple[_Plan, LatentState]:
-    """The run's constants and its start latent, from the sub-seeds of the
-    master seed."""
+def _seeded(backbone: BackboneConfig, seed: int
+            ) -> tuple[Seeds, ProjectionSet, LatentState]:
+    """A master seed's part of a run's set-up, which all its layouts share:
+    the sub-seeds, the projections and the start latent."""
     if not _is_nonnegative_int(seed):
         raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
     seeds = Seeds.from_master(seed)
+    return (seeds, build_projections(backbone, seeds.proj),
+            init_latent(backbone, seeds.latent))
+
+
+def _plan(layout: Layout, backbone: BackboneConfig, seeds: Seeds,
+          proj: ProjectionSet) -> _Plan:
+    """A layout's part: its constants under the seed's sub-seeds and
+    projections."""
     tokens = embed_tokens(layout.prompt, seeds.vocab, backbone.d_e)
-    proj = build_projections(backbone, seeds.proj)
     keys = tokens.e @ proj.w_k
     # The backbone is frozen, so within a run W_q and K are constants and
     # the two projections fold into one (n, d_z) map.
@@ -353,11 +354,17 @@ def _setup(layout: Layout, backbone: BackboneConfig, seed: int
     masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
     pads = np.zeros((tokens.n, 2))
     pads[0, 0], pads[-1, 1] = -1.0, 1.0
-    plan = _Plan(
+    return _Plan(
         tokens=tokens, keys=keys, fold_t=fold_t, gram=fold_t @ fold_t.T,
         sel_ext=np.hstack((_phrase_selector(layout.phrases, tokens.n), pads)),
         flats=_flat_masks(masks, backbone.q))
-    return plan, init_latent(backbone, seeds.latent)
+
+
+def _setup(layout: Layout, backbone: BackboneConfig, seed: int
+           ) -> tuple[_Plan, LatentState]:
+    """A run's constants and its start latent, from the master seed."""
+    seeds, proj, start = _seeded(backbone, seed)
+    return _plan(layout, backbone, seeds, proj), start
 
 
 # The closed-form loss and the trajectory engine work on stacks of latents,
@@ -580,11 +587,11 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     the items after them keep their latent. The live items take their
     updates together, one stacked loss call per iteration on constants
     built once for the step. The iterations step the live items' logits,
-    computed once from z: each moves them by ``-plan.gram @ s g`` for its
-    logit gradient g at step size s, which is what ``z -= (s g)^T F`` does
-    to them. After each iteration's update it yields ``(values, terms)``:
-    the (m, n, q) attention values the update read, a fresh array, and the
-    live items' loss terms. z is written once, after the last yield, by the
+    computed once from z: each but the last moves them by
+    ``-plan.gram @ s g`` for its logit gradient g at step size s, which is
+    what ``z -= (s g)^T F`` does to them. After each iteration's update it
+    yields ``(values, terms)``: the (m, n, q) attention values the update
+    read, a fresh array, and the live items' loss terms. z is written once, after the last yield, by the
     sum of the steps taken to the latent through ``work[:m]`` (a fresh
     array when no ``work`` is given): a caller reads the updated z only
     once the step is exhausted. With no live item it yields nothing.
@@ -599,11 +606,12 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     step = step.reshape(-1, 1, 1)
     logits = plan.fold_t @ zr.swapaxes(-1, -2)
     total = np.zeros_like(logits)
-    for _ in range(part[0].iterations_per_step):
+    for it in range(part[0].iterations_per_step):
+        if it:  # the previous iteration's step; the last one's goes unread
+            logits -= plan.gram @ g
         values = _softmax(logits)
         g, terms = _loss_and_grad(plan, values, stack)
         g *= step
-        logits -= plan.gram @ g
         total += g
         yield values, terms
     zr -= _to_latent(plan, total, None if work is None else work[:m])
@@ -774,7 +782,9 @@ def _check_instance(seed: int, resolution: int, content_words: int,
         raise ContractError("finite differences need a latent of at most 16x16")
     rng = np.random.default_rng(seed)
     layout = _random_layout(rng, n_objects, content_words)
-    plan, _ = _setup(layout, backbone, seed)
+    seeds = Seeds.from_master(seed)
+    plan = _plan(layout, backbone, seeds,
+                 build_projections(backbone, seeds.proj))
     z0 = rng.standard_normal((backbone.q, backbone.d_z))
     return plan, GuidanceConfig(detach_norms=detach_norms), z0
 

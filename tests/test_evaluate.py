@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from loco.backbone import BackboneConfig, Seeds
 from loco.diffmath import ContractError, ShapeError
@@ -180,6 +181,23 @@ def test_detect_matches_bfs_oracle(grid):
         want.append(Detection(index=value - 1, box=box, area=len(best),
                               centroid=centroid))
     assert detect_regions(labels) == want
+
+
+# Stacks of 1-7 label grids of one side (1-16), with labels 0 to a drawn top
+# label of 1-4.
+LABEL_STACKS = st.tuples(st.integers(1, 7), st.integers(1, 16),
+                         st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.int64, (shape[0], shape[1], shape[1]),
+                         elements=st.integers(0, shape[2])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(LABEL_STACKS)
+def test_stacked_detections_equal_each_grids_own(stack):
+    """The stacked labeller and detections give every grid of a stack what
+    ``detect_regions`` gives it alone, so no component crosses from one
+    grid into the next."""
+    assert evaluate._detect(stack) == [detect_regions(grid) for grid in stack]
 
 
 @pytest.mark.parametrize("labels, error", [
@@ -554,6 +572,22 @@ def test_benchmark_makes_one_loss_call_per_guided_iteration(cfg, monkeypatch):
     run_benchmark(_mini_suite(("pair_cat_dog",)), cfg, BackboneConfig(),
                   seeds=[0], gamma_sweep=[5.0, 300.0])
     assert calls == [5] * (cfg.guided_steps * cfg.iterations_per_step)
+
+
+def test_benchmark_scores_each_layout_and_seed_stack_once(monkeypatch):
+    """Every (layout, seed) stack of final attention, one item per distinct
+    config, is scored in one call of the scoring core."""
+    calls, real = [], evaluate._score
+
+    def counting(layout, a, sel, flats):
+        calls.append((layout, a.shape[0]))
+        return real(layout, a, sel, flats)
+
+    monkeypatch.setattr(evaluate, "_score", counting)
+    suite = _mini_suite()
+    run_benchmark(suite, GuidanceConfig(guided_steps=1), BackboneConfig(),
+                  seeds=[0, 1], gamma_sweep=[5.0, 300.0])
+    assert calls == [(layout, 6) for _ in (0, 1) for _, layout in suite]
 
 
 @pytest.mark.parametrize("sweep", ["12", b"12", [True], ["a"], [5.0, None],

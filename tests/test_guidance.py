@@ -930,6 +930,16 @@ def test_non_finite_latent_raises_naming_the_timestep():
         guided_sample(layout, GuidanceConfig(gamma=1e300), BCFG, 0)
 
 
+def test_gradient_check_draws_no_start_latent(monkeypatch):
+    """A check draws its own base latent, so it builds only the plan of its
+    layout, without the start latent a run draws."""
+    def refused(*args):
+        raise AssertionError("init_latent called")
+
+    monkeypatch.setattr(guidance, "init_latent", refused)
+    assert gradient_check(0, resolution=2).max_rel_error < 1e-4
+
+
 def test_nan_in_an_unguided_start_latent_raises_at_timestep_0(monkeypatch):
     """A NaN in an unguided run's start latent makes the first denoise's
     sigma NaN, which raises at timestep 0."""
