@@ -271,12 +271,20 @@ def effective_noise(cfg: BackboneConfig, t: int, z: np.ndarray,
     bit-identical to the RMS of its latent alone. A latent with a NaN RMS
     gets a NaN sigma.
     """
+    return np.array(_sigmas(cfg, t, z, expected_rms)).reshape(z.shape[:-2])
+
+
+def _sigmas(cfg: BackboneConfig, t: int, z: np.ndarray,
+            expected_rms: float) -> list[float]:
+    """``effective_noise`` of each item of z, flattened, in Python floats,
+    which round +, -, *, / and sqrt as numpy does without its cost per call.
+    max(x, 0.0) keeps a NaN x, where max(0.0, x) would drop it."""
     # Each item's sum of squares as one contraction, without a temporary the
     # size of the stack; the mean as sum / count.
-    rms = np.sqrt(np.einsum("...ij,...ij->...", z, z)
-                  / (z.shape[-2] * z.shape[-1]))
-    excess = np.maximum(0.0, rms / max(expected_rms, 1e-12) - cfg.ood_slack)
-    return noise_scale(cfg, t) * (1.0 + cfg.ood_noise_gain * excess)
+    count, expected = z.shape[-2] * z.shape[-1], max(expected_rms, 1e-12)
+    base, gain, slack = noise_scale(cfg, t), cfg.ood_noise_gain, cfg.ood_slack
+    return [base * (1.0 + gain * max(sqrt(s / count) / expected - slack, 0.0))
+            for s in np.einsum("...ij,...ij->...", z, z).reshape(-1).tolist()]
 
 
 def denoise_step(state: LatentState, attn: np.ndarray, tokens: TokenSet,

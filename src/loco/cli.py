@@ -40,12 +40,12 @@ __all__ = ["build_parser", "main", "write_pgm"]
 
 GRADCHECK_TOLERANCE = 1e-4
 # The most seeds one bench call runs. A one-seed run of the bundled suite
-# with the gamma sweep takes about 1.2 s (2-vCPU x86_64, BLAS on 1 thread),
-# so the bound is about 20 minutes of work.
+# with the gamma sweep takes about 1.0 s (2-vCPU x86_64, BLAS on 1 thread),
+# so the bound is about 17 minutes of work.
 _MAX_BENCH_SEEDS = 1000
 # The most instances one gradcheck call checks. An instance is two 8x8
-# checks, about 3.3 ms (median of 5 runs of 200 instances, same machine),
-# so the bound is about 3.5 s of work.
+# checks, about 2.9 ms (median of 5 runs of 200 instances, same machine),
+# so the bound is about 3 s of work.
 _MAX_GRADCHECK_INSTANCES = 1000
 
 

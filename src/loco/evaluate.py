@@ -19,14 +19,14 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .guidance import (GuidanceConfig, _attention, _flat_masks,
+from .guidance import (GuidanceConfig, _attention, _check_attention,
                        _guided_step, _is_nonnegative_int, _noise_draws,
                        _phrase_selector, _plan, _seeded, _setup,
                        _trajectories)
 # Not called here; it stays a module attribute because perfbench's layer trace
 # and speed probe rebind it here.
 from .guidance import guided_sample  # noqa: F401
-from .layout import BoundingBox, Layout, rasterize_box
+from .layout import BoundingBox, Layout, _rasterize
 
 __all__ = [
     "ARMS",
@@ -88,12 +88,13 @@ def _solo(layout: Layout, attn: np.ndarray
     """A (q, n) attention array over a square grid of q cells as the
     scoring core's operands: a stack of one, (1, n, q), the phrase selector,
     (n, k), and the box rows, (k, q)."""
+    _check_attention(attn)
     q = attn.shape[0]
     side = math.isqrt(q)
     if side * side != q:
         raise ShapeError(f"{q} attention rows do not form a square grid")
     return (attn.T[None], _phrase_selector(layout.phrases, attn.shape[1]),
-            _flat_masks([rasterize_box(b, side) for b in layout.boxes], q))
+            _rasterize(layout.boxes, side))
 
 
 def decode_labels(attn: np.ndarray, layout: Layout) -> np.ndarray:
@@ -249,14 +250,10 @@ def _metrics(detections: Sequence[Sequence[Detection]], layout: Layout,
         objects = []
         for i, gt_box in enumerate(layout.boxes):
             det = by_index.get(i)
-            inbox = cross[i][i]
-            if det is None:
-                objects.append(ObjectScore(index=i, detected=False, iou=0.0,
-                                           inbox_mass=inbox))
-            else:
-                objects.append(ObjectScore(index=i, detected=True,
-                                           iou=iou(det.box, gt_box),
-                                           inbox_mass=inbox))
+            objects.append(ObjectScore(
+                index=i, detected=det is not None,
+                iou=0.0 if det is None else iou(det.box, gt_box),
+                inbox_mass=cross[i][i]))
         all_correct = all(o.detected and o.iou >= IOU_THRESHOLD
                           for o in objects)
 
@@ -343,7 +340,7 @@ def _record(name: str, seed: int, arm: str, cfg: GuidanceConfig,
         "gamma": cfg.gamma,
         "all_correct": metrics.all_correct,
         "mean_iou": metrics.mean_iou,
-        "objects": [asdict(o) for o in metrics.objects],
+        "objects": [dict(vars(o)) for o in metrics.objects],
         "relations_total": metrics.relations_total,
         "relations_correct": metrics.relations_correct,
         "cross_box_mass": [list(row) for row in metrics.cross_box_mass],

@@ -21,7 +21,7 @@ to the frozen denoiser.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -34,8 +34,8 @@ from .backbone import (
     Seeds,
     TokenSet,
     _check_fields,
+    _sigmas,
     build_projections,
-    effective_noise,
     embed_tokens,
     expected_latent_rms,
     init_latent,
@@ -44,7 +44,7 @@ from .backbone import (
 # module because perfbench/tracing.py rebinds them here.
 from .backbone import cross_attention, denoise_step  # noqa: F401
 from .diffmath import ContractError, ShapeError, Var
-from .layout import Layout, Phrase, layout_from_dict, rasterize_box
+from .layout import Layout, Phrase, _rasterize, layout_from_dict
 
 __all__ = [
     "EPS",
@@ -131,9 +131,19 @@ def object_attention(attn: Var, phrase: Phrase) -> Var:
     return dm.matmul(attn, attn.tape.constant(sel))
 
 
+def _check_attention(attn: np.ndarray) -> None:
+    """Reject attention that is not a finite 2-D (q, n) array."""
+    if attn.ndim != 2:
+        raise ShapeError(f"attention of shape {attn.shape} is not (q, n)")
+    if not np.isfinite(attn).all():
+        raise ContractError("attention has non-finite entries")
+
+
 def object_maps(values: np.ndarray, layout: Layout) -> np.ndarray:
     """Object maps off the tape, (k, q): row i is ``values @ S[:, i]``, the
-    maps the guided loop's loss reads, as one product."""
+    maps the guided loop's loss reads, as one product, of finite (q, n)
+    attention values."""
+    _check_attention(values)
     return _phrase_selector(layout.phrases, values.shape[1]).T @ values.T
 
 
@@ -351,13 +361,12 @@ def _plan(layout: Layout, backbone: BackboneConfig, seeds: Seeds,
     # The backbone is frozen, so within a run W_q and K are constants and
     # the two projections fold into one (n, d_z) map.
     fold_t = (keys @ proj.w_q.T) / sqrt(proj.w_q.shape[1])
-    masks = [rasterize_box(b, backbone.resolution) for b in layout.boxes]
     pads = np.zeros((tokens.n, 2))
     pads[0, 0], pads[-1, 1] = -1.0, 1.0
     return _Plan(
         tokens=tokens, keys=keys, fold_t=fold_t, gram=fold_t @ fold_t.T,
         sel_ext=np.hstack((_phrase_selector(layout.phrases, tokens.n), pads)),
-        flats=_flat_masks(masks, backbone.q))
+        flats=_rasterize(layout.boxes, backbone.resolution))
 
 
 def _setup(layout: Layout, backbone: BackboneConfig, seed: int
@@ -685,20 +694,21 @@ def _trajectories(plan: _Plan, z0: np.ndarray,
             attn = _attention(plan, z)
             # denoise_step on every item: (1 - rho) z + A^T (rho E_v), then
             # sigma times the shared draw.
-            sigma = effective_noise(
+            sigma = _sigmas(
                 backbone, t, z, expected_latent_rms(backbone, index, value_rms))
             delta = np.matmul(attn.swapaxes(1, 2), rho_e_v, out=work)
             z *= 1.0 - rho
             z += delta
-            np.multiply(sigma[:, None, None], draw, out=delta)
+            for item_sigma, item_delta in zip(sigma, delta):
+                np.multiply(draw, item_sigma, out=item_delta)
             z += delta
         # Checked once per timestep, on sigma: a latent whose mean square is
         # not finite gets a sigma that is not finite, which its noise carries
         # into every entry of z, and a finite sigma bounds |z| far below
         # overflow, so z is finite iff sigma is.
-        finite = np.isfinite(sigma)
-        if not finite.all():
-            bad = cfgs[int(np.argmin(finite))]
+        finite = list(map(isfinite, sigma))
+        if not all(finite):
+            bad = cfgs[finite.index(False)]
             raise ContractError(
                 f"latent turned non-finite at timestep {index} "
                 f"(t={t}); gamma={bad.gamma:g} is too large")

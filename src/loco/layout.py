@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -205,13 +206,22 @@ def rasterize_box(box: BoundingBox, resolution: int = 16) -> np.ndarray:
     to the single cell containing the box center, so every mask has at
     least one set cell.
     """
+    return _rasterize((box,), resolution).reshape(
+        resolution, resolution).astype(np.uint8)
+
+
+def _rasterize(boxes: Sequence[BoundingBox], resolution: int) -> np.ndarray:
+    """``rasterize_box`` of all boxes at once: (k, resolution ** 2) floats."""
+    edges = np.array([(b.x0, b.y0, b.x1, b.y1) for b in boxes]).reshape(-1, 4)
     centers = (np.arange(resolution) + 0.5) / resolution
-    cols = (centers >= box.x0) & (centers < box.x1)
-    rows = (centers >= box.y0) & (centers < box.y1)
-    mask = np.outer(rows, cols).astype(np.uint8)
-    if not mask.any():
-        cx, cy = box.center
-        c = min(int(cx * resolution), resolution - 1)
-        r = min(int(cy * resolution), resolution - 1)
-        mask[r, c] = 1
-    return mask
+    # (k, 2, resolution): each center within each box's x, then y, range.
+    past = centers >= edges[..., None]
+    inside = past[:, :2] & ~past[:, 2:]
+    masks = (inside[:, 1, :, None] & inside[:, 0, None]).reshape(len(edges), -1)
+    masks = masks.astype(np.float64)
+    empty = ~inside.any(2).all(1)
+    if empty.any():  # snap to the cell of the center, as BoundingBox.center
+        c, r = np.minimum(((edges[:, :2] + edges[:, 2:]) / 2.0 * resolution)
+                          .astype(np.int64), resolution - 1).T
+        masks[empty, (r * resolution + c)[empty]] = 1.0
+    return masks

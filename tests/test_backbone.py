@@ -239,6 +239,20 @@ def test_effective_noise_gives_each_item_of_a_stack_its_own_sigma():
         == [False, True, False, False, False]
 
 
+def test_effective_noise_of_a_single_latent_is_a_0d_array():
+    z = np.full((CFG.q, CFG.d_z), 0.1)
+    sigma = effective_noise(CFG, 40, z, expected_rms=0.1)
+    assert isinstance(sigma, np.ndarray) and sigma.shape == ()
+    assert float(sigma) == noise_scale(CFG, 40)
+
+
+def test_an_infinite_latent_gets_an_infinite_sigma():
+    z = np.full((3, 4, 4), 0.1)
+    z[2, 1, 3] = np.inf
+    sigma = effective_noise(CFG, 40, z, expected_rms=0.1)
+    assert sigma.tolist() == [noise_scale(CFG, 40)] * 2 + [np.inf]
+
+
 def test_expected_latent_rms_path():
     assert expected_latent_rms(CFG, 0, 0.6) == pytest.approx(CFG.init_scale)
     assert expected_latent_rms(CFG, 10 ** 6, 0.6) == pytest.approx(0.6)

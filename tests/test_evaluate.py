@@ -93,6 +93,42 @@ def test_non_square_attention_raises_shape_error(rows):
         layout_metrics([], LAYOUT, values)
 
 
+# Each public function that reads a (q, n) attention array, called on it.
+ATTENTION_READERS = {
+    "object_maps": lambda values: object_maps(values, LAYOUT),
+    "decode_labels": lambda values: decode_labels(values, LAYOUT),
+    "layout_metrics": lambda values: layout_metrics([], LAYOUT, values),
+}
+
+
+@pytest.mark.parametrize("reader", ATTENTION_READERS)
+def test_one_dimensional_attention_raises_shape_error(reader):
+    with pytest.raises(ShapeError, match=r"\(256,\) is not \(q, n\)"):
+        ATTENTION_READERS[reader](np.full(256, 0.2))
+
+
+@pytest.mark.parametrize("reader", ATTENTION_READERS)
+def test_three_dimensional_attention_raises_shape_error(reader):
+    """A (q, n, 2) array once gave layout_metrics objects whose inbox_mass
+    was a list."""
+    values = np.stack([boxed_attention(LAYOUT)] * 2, axis=-1)
+    with pytest.raises(ShapeError, match=r"\(256, 5, 2\) is not \(q, n\)"):
+        ATTENTION_READERS[reader](values)
+
+
+@pytest.mark.parametrize("reader", ATTENTION_READERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_attention_raises_contract_error(reader, bad):
+    """An all-NaN array once decoded to background with NaN masses; one
+    non-finite entry is enough to refuse the array."""
+    values = boxed_attention(LAYOUT)
+    values[17, 2] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        ATTENTION_READERS[reader](values)
+    with pytest.raises(ContractError, match="non-finite"):
+        ATTENTION_READERS[reader](np.full((256, 5), np.nan))
+
+
 def test_decode_reads_the_grid_side_from_the_rows():
     values = boxed_attention(LAYOUT)[:64]  # the first 4 rows of the 16x16 grid
     assert decode_labels(values, LAYOUT).shape == (8, 8)

@@ -975,6 +975,25 @@ def test_nan_in_one_guided_item_of_a_stack_names_its_gamma(monkeypatch):
                       gamma_sweep=[5.0, 300.0])
 
 
+def test_inf_in_one_item_of_a_stack_names_its_gamma(monkeypatch):
+    """An inf planted after guided step 2 in the gamma-300 sweep item, the
+    fifth of a benchmark stack, gives that item an infinite sigma at the
+    next denoise, which raises naming it."""
+    real = guidance._guided_step
+
+    def planted(z, index, plan, cfgs, grad=None):
+        yield from real(z, index, plan, cfgs, grad)
+        if index == 2:
+            z[[cfg.gamma for cfg in cfgs].index(300.0), 9, 4] = np.inf
+
+    monkeypatch.setattr(guidance, "_guided_step", planted)
+    with pytest.raises(ContractError, match=re.escape(
+            "latent turned non-finite at timestep 2 (t=49); gamma=300 is too "
+            "large")):
+        run_benchmark([("pair", LAYOUT)], GuidanceConfig(), BCFG, seeds=[0],
+                      gamma_sweep=[5.0, 300.0])
+
+
 # ---------------------------------------------------------------------------
 # The closed-form gradient of the guided loop against the tape.
 

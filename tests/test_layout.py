@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loco.layout import (BoundingBox, LayoutError, layout_to_dict,
+from loco.layout import (BoundingBox, LayoutError, _rasterize, layout_to_dict,
                          parse_layout, rasterize_box, serialize_layout)
 from strategies import mostly
 
@@ -167,6 +167,48 @@ def test_rasterize_matches_center_rule_enumeration():
             assert np.array_equal(mask, expected)
         else:
             assert mask.sum() == 1
+
+
+def center_rule_mask(box, resolution):
+    """The pixel-center rule one cell at a time, snapping an empty mask to
+    the cell holding the box center."""
+    centers = [(i + 0.5) / resolution for i in range(resolution)]
+    mask = np.array([[box.x0 <= cx < box.x1 and box.y0 <= cy < box.y1
+                      for cx in centers] for cy in centers], dtype=np.uint8)
+    if not mask.any():
+        cx, cy = box.center
+        mask[min(int(cy * resolution), resolution - 1),
+             min(int(cx * resolution), resolution - 1)] = 1
+    return mask
+
+
+@st.composite
+def boxes(draw):
+    """A box whose sides are each drawn from a full range or as a sliver
+    narrower than any grid's cell pitch, so that it may hold no center."""
+    def side():
+        low = draw(st.floats(0.0, 0.999))
+        width = draw(st.one_of(st.floats(1e-6, 0.05), st.floats(1e-3, 1.0)))
+        return low, min(low + width, 1.0)
+
+    (x0, x1), (y0, y1) = side(), side()
+    return BoundingBox(x0, y0, x1, y1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(boxes(), min_size=1, max_size=6), st.integers(1, 16))
+def test_rasterizing_all_boxes_at_once_equals_each_box_alone(drawn, resolution):
+    """The one pass over a layout's boxes gives each box's own
+    ``rasterize_box`` mask as a float row, and each mask is the center rule's,
+    snapped to one cell when no center lies inside."""
+    rows = _rasterize(drawn, resolution)
+    assert rows.dtype == np.float64
+    assert rows.shape == (len(drawn), resolution * resolution)
+    for box, row in zip(drawn, rows):
+        mask = rasterize_box(box, resolution)
+        assert mask.dtype == np.uint8
+        assert np.array_equal(mask, center_rule_mask(box, resolution))
+        assert np.array_equal(row, mask.reshape(-1))
 
 
 @settings(max_examples=50, deadline=None)
