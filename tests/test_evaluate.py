@@ -638,17 +638,18 @@ def test_benchmark_draws_the_noise_once_per_seed_and_timestep(monkeypatch):
     real, noise_seeds = np.random.default_rng, []
 
     def counting(seed=None):
-        if isinstance(seed, list) and len(seed) == 3:  # [run seed, 1, t]
-            noise_seeds.append(tuple(seed))
+        if isinstance(seed, np.random.SeedSequence):  # a noise draw's
+            noise_seeds.append(seed.pool.tolist())
         return real(seed)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
     backbone = BackboneConfig()
     suite = load_suite(bundled_suite_dir())
     run_benchmark(suite, GuidanceConfig(guided_steps=1), backbone, seeds=[3])
-    # 51, where one draw per layout and timestep would make 24 x 51 = 1224.
+    # 51, where one draw per layout and timestep would make 24 x 51 = 1224,
+    # each seeded as [run seed, 1, t].
     latent = Seeds.from_master(3).latent
-    assert noise_seeds == [(latent, 1, t)
+    assert noise_seeds == [np.random.SeedSequence([latent, 1, t]).pool.tolist()
                            for t in range(backbone.total_steps, 0, -1)]
 
 

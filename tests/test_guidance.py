@@ -550,7 +550,8 @@ def test_lone_run_draws_its_noise_lazily(monkeypatch):
 
     def default_rng(seed=None):
         rng = real(seed)
-        return Tracked(rng) if isinstance(seed, list) and len(seed) == 3 \
+        # The noise draws are seeded by a SeedSequence, the others not.
+        return Tracked(rng) if isinstance(seed, np.random.SeedSequence) \
             else rng
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
