@@ -214,8 +214,8 @@ def _rasterize(boxes: Sequence[BoundingBox], resolution: int) -> np.ndarray:
     """``rasterize_box`` of all boxes at once: (k, resolution ** 2) floats."""
     edges = np.array([(b.x0, b.y0, b.x1, b.y1) for b in boxes]).reshape(-1, 4)
     centers = (np.arange(resolution) + 0.5) / resolution
+    past = centers >= edges[..., None]  # (k, 4, resolution)
     # (k, 2, resolution): each center within each box's x, then y, range.
-    past = centers >= edges[..., None]
     inside = past[:, :2] & ~past[:, 2:]
     masks = (inside[:, 1, :, None] & inside[:, 0, None]).reshape(len(edges), -1)
     masks = masks.astype(np.float64)
