@@ -279,12 +279,20 @@ def _sigmas(cfg: BackboneConfig, t: int, z: np.ndarray,
     """``effective_noise`` of each item of z, flattened, in Python floats,
     which round +, -, *, / and sqrt as numpy does without its cost per call.
     max(x, 0.0) keeps a NaN x, where max(0.0, x) would drop it."""
-    # Each item's sum of squares as one contraction, without a temporary the
-    # size of the stack; the mean as sum / count.
     count, expected = z.shape[-2] * z.shape[-1], max(expected_rms, 1e-12)
     base, gain, slack = noise_scale(cfg, t), cfg.ood_noise_gain, cfg.ood_slack
-    return [base * (1.0 + gain * max(sqrt(s / count) / expected - slack, 0.0))
-            for s in np.einsum("...ij,...ij->...", z, z).reshape(-1).tolist()]
+    items, rows = z.reshape(-1, *z.shape[-2:]), z.reshape(-1, 1, count)
+    # A BLAS dot screens each item's sum of squares. Two summation orders of
+    # count nonnegative squares differ by at most 4 count 2**-52 relatively,
+    # so a dot below count (slack expected)**2 by four times that has its
+    # einsum below it too, where the formula gives base. The rest, NaN and
+    # inf included, take the einsum, as a lone latent does.
+    plain = min(count * (slack * expected) ** 2, 1e300) * (
+        1.0 - 16 * count * 2.0 ** -52)
+    dots = np.matmul(rows, rows.swapaxes(1, 2)).reshape(-1).tolist()
+    return [base if dot < plain else base * (1.0 + gain * max(
+                sqrt(np.einsum("ij,ij->", item, item) / count) / expected
+                - slack, 0.0)) for item, dot in zip(items, dots)]
 
 
 def denoise_step(state: LatentState, attn: np.ndarray, tokens: TokenSet,

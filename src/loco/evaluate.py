@@ -19,9 +19,9 @@ import numpy as np
 
 from .backbone import BackboneConfig
 from .diffmath import ContractError, ShapeError
-from .guidance import (GuidanceConfig, _attention, _check_attention,
-                       _guided_step, _is_nonnegative_int, _noise_draws,
-                       _phrase_selector, _plan, _seeded, _setup,
+from .guidance import (GuidanceConfig, _attention, _check_array,
+                       _check_attention, _guided_step, _is_nonnegative_int,
+                       _noise_draws, _phrase_selector, _plan, _seeded, _setup,
                        _trajectories)
 # Not called here; it stays a module attribute because perfbench's layer trace
 # and speed probe rebind it here.
@@ -152,6 +152,7 @@ def detect_regions(labels: np.ndarray) -> list[Detection]:
     components the one whose first cell comes first in raster order wins.
     Objects with no cells are simply absent from the result.
     """
+    _check_array(labels, "labels")
     if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
         raise ShapeError(f"labels of shape {labels.shape} are not a square grid")
     if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
@@ -380,7 +381,9 @@ class BenchReport:
     gamma_sweep: list[dict]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # asdict only for the configs: it would deep-copy every record.
+        return json.dumps({**vars(self), "config": asdict(self.config),
+                           "backbone": asdict(self.backbone)}, indent=2)
 
 
 def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,

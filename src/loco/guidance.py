@@ -131,8 +131,16 @@ def object_attention(attn: Var, phrase: Phrase) -> Var:
     return dm.matmul(attn, attn.tape.constant(sel))
 
 
+def _check_array(value, name: str) -> None:
+    """Raise ``ShapeError`` unless value is an ``np.ndarray``."""
+    if not isinstance(value, np.ndarray):
+        raise ShapeError(f"{name} must be an np.ndarray, got "
+                         f"{type(value).__name__}")
+
+
 def _check_attention(attn: np.ndarray) -> None:
     """Reject attention that is not a finite 2-D (q, n) array."""
+    _check_array(attn, "attention")
     if attn.ndim != 2:
         raise ShapeError(f"attention of shape {attn.shape} is not (q, n)")
     if not np.isfinite(attn).all():
@@ -626,6 +634,47 @@ def _guided_step(z: np.ndarray, index: int, plan: _Plan,
     zr -= _to_latent(plan, total, None if work is None else work[:m])
 
 
+# numpy's SeedSequence hash (NEP 19: a pool of 4 uint32 words) and PCG64's
+# seeding multiplier, which numpy ships compiled.
+_M32, _PCG_MULT = 0xFFFFFFFF, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(rng_seed: int, ts: np.ndarray) -> Iterator[dict]:
+    """``PCG64(SeedSequence([rng_seed, 1, t])).state`` of each t of ts, a
+    uint32 array, hashed in one pass: on Python ints while the hash reads
+    only the words all ts share, on uint32 arrays over ts from t on."""
+    entropy = [rng_seed >> bit & _M32
+               for bit in range(0, rng_seed.bit_length() or 1, 32)] + [1, ts]
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    # numpy's two mixing loops as one: each pool word into the others, then
+    # each entropy word past the pool into all four.
+    for src in range(max(len(entropy), 4)):
+        for dst in range(4):
+            if dst != src:
+                y = hashmix(pool[src] if src < 4 else entropy[src])
+                x = ((0xCA01F9DD * pool[dst] & _M32)
+                     - (0x4973F715 * y & _M32)) & _M32
+                pool[dst] = x ^ x >> 16
+    # generate_state(4, np.uint64): eight uint32 words, twice round the
+    # pool, paired low word first; every word holds t, so each is an array.
+    const = 0x8B51F9DD
+    words = np.array([hashmix(word, 0x58F38DED) for word in pool * 2], "<u4")
+    for w0, w1, w2, w3 in np.ascontiguousarray(words.T).view("<u8").tolist():
+        inc = (w2 << 65 | w3 << 1 | 1) % (1 << 128)
+        yield {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+               "state": {"state": (((w0 << 64 | w1) + inc) * _PCG_MULT + inc)
+                         % (1 << 128), "inc": inc}}
+
+
 def _noise_draws(backbone: BackboneConfig, rng_seed: int
                  ) -> Iterator[np.ndarray]:
     """Each timestep's noise draw, first timestep first, as ``denoise_step``
@@ -634,13 +683,11 @@ def _noise_draws(backbone: BackboneConfig, rng_seed: int
     visits, t = total_steps down to 1, so every timestep draws. Lazy, so a
     lone run holds one draw at a time; ``run_benchmark`` lists a seed's
     draws once and shares them among its layouts."""
-    # [rng_seed, 1, t] as the uint32 words SeedSequence splits it into, least
-    # significant first: the same seed, without a third of its cost.
-    words = [rng_seed >> bit & 0xFFFFFFFF
-             for bit in range(0, rng_seed.bit_length() or 1, 32)]
-    for t in range(backbone.total_steps, 0, -1):
-        entropy = np.array(words + [1, t], dtype=np.uint32)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    # One generator, set to default_rng([rng_seed, 1, t])'s state per draw.
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in _pcg64_states(rng_seed, np.arange(
+            backbone.total_steps, 0, -1, dtype=np.uint32)):
+        rng.bit_generator.state = state
         yield rng.standard_normal((backbone.q, backbone.d_z))
 
 

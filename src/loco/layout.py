@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backbone import tokenize
+from .backbone import BackboneConfig, tokenize
 
 __all__ = [
     "BoundingBox",
@@ -204,8 +204,9 @@ def rasterize_box(box: BoundingBox, resolution: int = 16) -> np.ndarray:
     Cell (r, c) is set iff its center lies in the half-open region
     [x0, x1) x [y0, y1). A box so small that no center falls inside snaps
     to the single cell containing the box center, so every mask has at
-    least one set cell.
+    least one set cell; ``resolution`` is checked as ``BackboneConfig``'s.
     """
+    BackboneConfig(resolution=resolution)
     return _rasterize((box,), resolution).reshape(
         resolution, resolution).astype(np.uint8)
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from dataclasses import asdict, fields
+from math import sqrt
 
-from loco.backbone import (BackboneConfig, LatentState,
+from loco.backbone import (BackboneConfig, LatentState, _sigmas,
                            build_projections, cross_attention, denoise_step,
                            effective_noise, embed_tokens, expected_latent_rms,
                            init_latent, noise_scale, tokenize, value_matrix)
@@ -251,6 +252,34 @@ def test_an_infinite_latent_gets_an_infinite_sigma():
     z[2, 1, 3] = np.inf
     sigma = effective_noise(CFG, 40, z, expected_rms=0.1)
     assert sigma.tolist() == [noise_scale(CFG, 40)] * 2 + [np.inf]
+
+
+def _einsum_sigmas(t, z, expected_rms):
+    """Each item's noise scale from its einsum sum of squares, the formula
+    the screened ``_sigmas`` keeps bit for bit."""
+    count, expected = z.shape[-2] * z.shape[-1], max(expected_rms, 1e-12)
+    return [noise_scale(CFG, t) * (1.0 + CFG.ood_noise_gain * max(
+                sqrt(s / count) / expected - CFG.ood_slack, 0.0))
+            for s in np.einsum("...ij,...ij->...", z, z).reshape(-1).tolist()]
+
+
+@pytest.mark.parametrize("b", [1, 7])
+def test_screened_sigmas_equal_the_einsum_formula_near_the_slack(b):
+    # Each item's RMS lies 10**-j off the slack's, below or above: the dot
+    # screens the far ones below, and the einsum decides the rest.
+    rng = np.random.default_rng(b)
+    expected, t = 0.4, 30
+    for j in range(3, 16):
+        for side in (-1.0, 1.0):
+            z = rng.standard_normal((b, CFG.q, CFG.d_z))
+            rms = np.sqrt(np.einsum("...ij,...ij->...", z, z) / (CFG.q * CFG.d_z))
+            z *= (CFG.ood_slack * expected * (1.0 + side * 10.0 ** -j)
+                  / rms)[:, None, None]
+            if b == 7:
+                z[2, 5, 1], z[4, 0, 3] = np.nan, np.inf
+            assert np.array_equal(_sigmas(CFG, t, z, expected),
+                                  _einsum_sigmas(t, z, expected),
+                                  equal_nan=True)
 
 
 def test_expected_latent_rms_path():

@@ -2,6 +2,7 @@
 
 import functools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -114,6 +115,13 @@ def test_three_dimensional_attention_raises_shape_error(reader):
     values = np.stack([boxed_attention(LAYOUT)] * 2, axis=-1)
     with pytest.raises(ShapeError, match=r"\(256, 5, 2\) is not \(q, n\)"):
         ATTENTION_READERS[reader](values)
+
+
+@pytest.mark.parametrize("reader", ATTENTION_READERS)
+def test_nested_list_attention_raises_shape_error(reader):
+    """A nested list once ended in a raw AttributeError."""
+    with pytest.raises(ShapeError, match="attention must be an np.ndarray"):
+        ATTENTION_READERS[reader](boxed_attention(LAYOUT).tolist())
 
 
 @pytest.mark.parametrize("reader", ATTENTION_READERS)
@@ -249,6 +257,17 @@ def test_detect_rejects_a_grid_that_is_not_square_nonnegative_ints(labels,
                                                                    error):
     with pytest.raises(error):
         detect_regions(labels)
+
+
+def test_detect_rejects_nested_list_labels():
+    with pytest.raises(ShapeError, match="labels must be an np.ndarray"):
+        detect_regions([[0, 1], [1, 0]])
+
+
+def test_report_json_equals_asdict_of_the_report():
+    report = run_benchmark(_mini_suite(), GuidanceConfig(guided_steps=1),
+                           BackboneConfig(), seeds=[0], gamma_sweep=[5.0])
+    assert report.to_json() == json.dumps(asdict(report), indent=2)
 
 
 def test_iou_cases():
@@ -635,22 +654,29 @@ def test_benchmark_rejects_bad_gamma_sweep(sweep):
 
 
 def test_benchmark_draws_the_noise_once_per_seed_and_timestep(monkeypatch):
-    real, noise_seeds = np.random.default_rng, []
+    real, states = np.random.Generator, []
 
-    def counting(seed=None):
-        if isinstance(seed, np.random.SeedSequence):  # a noise draw's
-            noise_seeds.append(seed.pool.tolist())
-        return real(seed)
+    class Counting:
+        """The engine's noise generator, which notes its state at each
+        draw: the state names the seed the draw was made from."""
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+        def __init__(self, bits):
+            self.bit_generator, self.rng = bits, real(bits)
+
+        def standard_normal(self, shape):
+            states.append(self.bit_generator.state)
+            return self.rng.standard_normal(shape)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
     backbone = BackboneConfig()
     suite = load_suite(bundled_suite_dir())
     run_benchmark(suite, GuidanceConfig(guided_steps=1), backbone, seeds=[3])
     # 51, where one draw per layout and timestep would make 24 x 51 = 1224,
-    # each seeded as [run seed, 1, t].
+    # each from the generator SeedSequence([run seed, 1, t]) seeds.
     latent = Seeds.from_master(3).latent
-    assert noise_seeds == [np.random.SeedSequence([latent, 1, t]).pool.tolist()
-                           for t in range(backbone.total_steps, 0, -1)]
+    assert states == [
+        np.random.PCG64(np.random.SeedSequence([latent, 1, t])).state
+        for t in range(backbone.total_steps, 0, -1)]
 
 
 def test_benchmark_records_stay_layout_major_across_seeds():

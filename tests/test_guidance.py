@@ -9,10 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from loco.backbone import (BackboneConfig, Seeds,
+from loco.backbone import (BackboneConfig, LatentState, Seeds,
                            build_projections, cross_attention, denoise_step,
                            effective_noise, embed_tokens, expected_latent_rms,
                            init_latent, value_matrix)
@@ -23,7 +23,8 @@ from loco import guidance
 from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig, _Stack,
                            _attention, _breakdowns, _central_losses,
                            _check_instance, _loss_and_grad,
-                           _noise_draws, _setup, _to_latent, _trajectories,
+                           _noise_draws, _pcg64_states, _setup, _to_latent,
+                           _trajectories,
                            gradient_check, guided_sample,
                            lac_loss, loco_loss, object_attention,
                            object_maps, ptc_loss, ptc_maps, schedule,
@@ -535,12 +536,14 @@ def test_kept_snapshots_hold_their_own_latents():
 def test_lone_run_draws_its_noise_lazily(monkeypatch):
     """``guided_sample`` makes each timestep's draw as it reaches it, and
     drops it after: never more than two draws are alive at once."""
-    real = np.random.default_rng
+    real = np.random.Generator
     alive, most = [], [0]
 
     class Tracked:
-        def __init__(self, rng):
-            self.rng = rng
+        """The engine's noise generator; no other draw builds one."""
+
+        def __init__(self, bits):
+            self.bit_generator, self.rng = bits, real(bits)
 
         def standard_normal(self, shape):
             draw = self.rng.standard_normal(shape)
@@ -548,16 +551,39 @@ def test_lone_run_draws_its_noise_lazily(monkeypatch):
             most[0] = max(most[0], sum(r() is not None for r in alive))
             return draw
 
-    def default_rng(seed=None):
-        rng = real(seed)
-        # The noise draws are seeded by a SeedSequence, the others not.
-        return Tracked(rng) if isinstance(seed, np.random.SeedSequence) \
-            else rng
-
-    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    monkeypatch.setattr(np.random, "Generator", Tracked)
     guided_sample(LAYOUT, GuidanceConfig(guided_steps=1), BCFG, 0)
     assert len(alive) == BCFG.total_steps
     assert most[0] <= 2
+
+
+def _step_noise(rng_seed, t):
+    """``denoise_step``'s noise at timestep t: its step of a zero latent at
+    rho 0 and sigma 1."""
+    tokens = embed_tokens("cat", 0, BCFG.d_e)
+    attn = np.full((BCFG.q, tokens.n), 1.0 / tokens.n)
+    state = LatentState(z=np.zeros((BCFG.q, BCFG.d_z)), t=t, rng_seed=rng_seed)
+    return denoise_step(state, attn, tokens, build_projections(BCFG, 0),
+                        0.0, 1.0).z
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       ts=st.lists(st.integers(1, BCFG.total_steps), min_size=1, max_size=4))
+@example(seed=0, ts=[BCFG.total_steps, 1])
+@example(seed=2 ** 32 - 1, ts=[BCFG.total_steps, 1])
+@example(seed=2 ** 32, ts=[BCFG.total_steps, 1])
+@example(seed=2 ** 64 - 1, ts=[BCFG.total_steps, 1])
+# Entropy longer than SeedSequence's pool of 4 words: 5 words, then 6.
+@example(seed=2 ** 64 + 12345, ts=[BCFG.total_steps, 1])
+@example(seed=2 ** 100 + 7, ts=[BCFG.total_steps, 1])
+def test_seed_kernel_gives_numpys_generator_at_each_timestep(seed, ts):
+    assert list(_pcg64_states(seed, np.array(ts, dtype=np.uint32))) == [
+        np.random.PCG64(np.random.SeedSequence([seed, 1, t])).state
+        for t in ts]
+    draws = _noise_draws(BCFG, seed)
+    for t in (BCFG.total_steps, BCFG.total_steps - 1):
+        assert np.array_equal(next(draws), _step_noise(seed, t))
 
 
 def _arms(**flags):

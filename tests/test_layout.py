@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loco.diffmath import ContractError
 from loco.layout import (BoundingBox, LayoutError, _rasterize, layout_to_dict,
                          parse_layout, rasterize_box, serialize_layout)
 from strategies import mostly
@@ -133,6 +134,12 @@ def test_rasterize_quarter_box():
     assert mask.sum() == 64
     assert np.array_equal(np.argwhere(mask).max(axis=0), [7, 7])
     assert mask[0, 0] == 1 and mask[8, 8] == 0
+
+
+@pytest.mark.parametrize("resolution", [0, -2, 2.5, True])
+def test_rasterize_box_rejects_a_resolution_not_a_positive_int(resolution):
+    with pytest.raises(ContractError, match="resolution"):
+        rasterize_box(BoundingBox(0.0, 0.0, 0.5, 0.5), resolution)
 
 
 def test_rasterize_full_box():
