@@ -282,13 +282,14 @@ def _sigmas(cfg: BackboneConfig, t: int, z: np.ndarray,
     count, expected = z.shape[-2] * z.shape[-1], max(expected_rms, 1e-12)
     base, gain, slack = noise_scale(cfg, t), cfg.ood_noise_gain, cfg.ood_slack
     items, rows = z.reshape(-1, *z.shape[-2:]), z.reshape(-1, 1, count)
-    # A BLAS dot screens each item's sum of squares. Two summation orders of
-    # count nonnegative squares differ by at most 4 count 2**-52 relatively,
-    # so a dot below count (slack expected)**2 by four times that has its
-    # einsum below it too, where the formula gives base. The rest, NaN and
-    # inf included, take the einsum, as a lone latent does.
-    plain = min(count * (slack * expected) ** 2, 1e300) * (
-        1.0 - 16 * count * 2.0 ** -52)
+    # A BLAS dot screens float64 items. Two summation orders of count
+    # nonnegative squares differ by at most 4 count 2**-52 relatively, so a
+    # dot below count (slack expected)**2 by four times that has its einsum
+    # below it too, where the formula gives base; * overflows to inf, not **.
+    # The rest, NaN and inf included, take the einsum, as a lone latent does.
+    plain = -np.inf if z.dtype != np.float64 else (
+        count * (slack * expected) * (slack * expected)
+        * (1.0 - 16 * count * 2.0 ** -52))
     dots = np.matmul(rows, rows.swapaxes(1, 2)).reshape(-1).tolist()
     return [base if dot < plain else base * (1.0 + gain * max(
                 sqrt(np.einsum("ij,ij->", item, item) / count) / expected

@@ -280,6 +280,21 @@ def test_screened_sigmas_equal_the_einsum_formula_near_the_slack(b):
             assert np.array_equal(_sigmas(CFG, t, z, expected),
                                   _einsum_sigmas(t, z, expected),
                                   equal_nan=True)
+            # In float32 the dot and the einsum round apart by far more than
+            # float64's margin, so such a stack is not screened.
+            z32 = z.astype(np.float32)
+            assert np.array_equal(_sigmas(CFG, t, z32, expected),
+                                  _einsum_sigmas(t, z32, expected),
+                                  equal_nan=True)
+
+
+def test_a_huge_expected_rms_gives_the_plain_schedule():
+    # count (slack expected)**2 overflows to inf: every finite latent is in
+    # range, and an infinite one still gets an infinite sigma.
+    z = np.full((2, CFG.q, CFG.d_z), 0.1)
+    z[1, 0, 0] = np.inf
+    sigma = effective_noise(CFG, 30, z, expected_rms=1e200)
+    assert sigma.tolist() == [noise_scale(CFG, 30), np.inf]
 
 
 def test_expected_latent_rms_path():
