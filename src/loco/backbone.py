@@ -34,7 +34,6 @@ __all__ = [
     "build_projections",
     "cross_attention",
     "denoise_step",
-    "effective_noise",
     "expected_latent_rms",
     "embed_tokens",
     "init_latent",
@@ -257,39 +256,32 @@ def expected_latent_rms(cfg: BackboneConfig, steps_done: int,
     return w * cfg.init_scale + (1.0 - w) * value_rms
 
 
-def effective_noise(cfg: BackboneConfig, t: int, z: np.ndarray,
-                    expected_rms: float) -> np.ndarray:
-    """Scheduled noise plus reconstruction noise for out-of-range latents.
+def _sigmas(cfg: BackboneConfig, t: int, z: np.ndarray,
+            expected_rms: float) -> list[float]:
+    """Scheduled noise plus reconstruction noise for out-of-range latents,
+    one sigma per latent of a float64 stack z, (..., q, d_z), in order.
 
     The frozen denoiser is calibrated for latents at each timestep's
     expected scale. Latents within ``ood_slack`` of it get the plain
     schedule; latents driven far outside it (e.g. by an over-strong
     guidance scale) pick up noise proportional to the excess, the toy's
-    stand-in for fidelity loss on out-of-distribution inputs.
-
-    One sigma per latent of a stack z, (..., q, d_z); each item's RMS is
-    bit-identical to the RMS of its latent alone. A latent with a NaN RMS
-    gets a NaN sigma.
+    stand-in for fidelity loss on out-of-distribution inputs. Each item's
+    sigma is bit-identical to its latent's alone, and a latent with a NaN
+    RMS gets a NaN sigma. The sigmas are Python floats, which round +, -,
+    *, / and sqrt as numpy does without its cost per call; max(x, 0.0)
+    keeps a NaN x, where max(0.0, x) would drop it.
     """
-    return np.array(_sigmas(cfg, t, z, expected_rms)).reshape(z.shape[:-2])
-
-
-def _sigmas(cfg: BackboneConfig, t: int, z: np.ndarray,
-            expected_rms: float) -> list[float]:
-    """``effective_noise`` of each item of z, flattened, in Python floats,
-    which round +, -, *, / and sqrt as numpy does without its cost per call.
-    max(x, 0.0) keeps a NaN x, where max(0.0, x) would drop it."""
     count, expected = z.shape[-2] * z.shape[-1], max(expected_rms, 1e-12)
     base, gain, slack = noise_scale(cfg, t), cfg.ood_noise_gain, cfg.ood_slack
     items, rows = z.reshape(-1, *z.shape[-2:]), z.reshape(-1, 1, count)
-    # A BLAS dot screens float64 items. Two summation orders of count
-    # nonnegative squares differ by at most 4 count 2**-52 relatively, so a
-    # dot below count (slack expected)**2 by four times that has its einsum
-    # below it too, where the formula gives base; * overflows to inf, not **.
-    # The rest, NaN and inf included, take the einsum, as a lone latent does.
-    plain = -np.inf if z.dtype != np.float64 else (
-        count * (slack * expected) * (slack * expected)
-        * (1.0 - 16 * count * 2.0 ** -52))
+    # A BLAS dot screens the items. z is float64, as the engine's stack
+    # always is, so two summation orders of count nonnegative squares differ
+    # by at most 4 count 2**-52 relatively, and a dot below count (slack
+    # expected)**2 by four times that has its einsum below it too, where the
+    # formula gives base; * overflows to inf, not **. The rest, NaN and inf
+    # included, take the einsum, as a lone latent does.
+    plain = (count * (slack * expected) * (slack * expected)
+             * (1.0 - 16 * count * 2.0 ** -52))
     dots = np.matmul(rows, rows.swapaxes(1, 2)).reshape(-1).tolist()
     return [base if dot < plain else base * (1.0 + gain * max(
                 sqrt(np.einsum("ij,ij->", item, item) / count) / expected

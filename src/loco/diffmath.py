@@ -15,7 +15,7 @@ and returns the accumulated adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -36,8 +36,6 @@ __all__ = [
     "square",
     "total",
 ]
-
-Number = Union[int, float]
 
 
 class ShapeError(ValueError):

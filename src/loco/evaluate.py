@@ -85,13 +85,13 @@ class LayoutMetrics:
 
 def _solo(layout: Layout, attn: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A (q, n) attention array over a square grid of q cells as the
+    """A (q, n) attention array over a square grid of q > 0 cells as the
     scoring core's operands: a stack of one, (1, n, q), the phrase selector,
     (n, k), and the box rows, (k, q)."""
     _check_attention(attn)
     q = attn.shape[0]
     side = math.isqrt(q)
-    if side * side != q:
+    if not q or side * side != q:
         raise ShapeError(f"{q} attention rows do not form a square grid")
     return (attn.T[None], _phrase_selector(layout.phrases, attn.shape[1]),
             _rasterize(layout.boxes, side))
@@ -147,13 +147,14 @@ def _components(labels: np.ndarray) -> np.ndarray:
 def detect_regions(labels: np.ndarray) -> list[Detection]:
     """Largest 4-connected component per object, as a tight normalized box.
 
-    ``labels`` is a square grid of nonnegative integers, 0 for background
-    and i+1 for object i, as ``decode_labels`` returns it. Of equally large
-    components the one whose first cell comes first in raster order wins.
-    Objects with no cells are simply absent from the result.
+    ``labels`` is a square grid of at least one cell of nonnegative
+    integers, 0 for background and i+1 for object i, as ``decode_labels``
+    returns it. Of equally large components the one whose first cell comes
+    first in raster order wins. Objects with no cells are simply absent from
+    the result.
     """
     _check_array(labels, "labels")
-    if labels.ndim != 2 or labels.shape[0] != labels.shape[1]:
+    if labels.ndim != 2 or not 0 < labels.shape[0] == labels.shape[1]:
         raise ShapeError(f"labels of shape {labels.shape} are not a square grid")
     if not np.issubdtype(labels.dtype, np.integer) or np.any(labels < 0):
         raise ContractError("labels must be nonnegative integers")
@@ -424,8 +425,11 @@ def run_benchmark(suite: Sequence[tuple[str, Layout]], cfg: GuidanceConfig,
         raise ContractError(
             f"gamma_sweep must be a sequence of numbers, got {gamma_sweep!r}")
     groups = [(arm, arm_config(cfg, arm)) for arm in ARMS]
-    groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
-               for gamma in gammas]
+    try:
+        groups += [("gamma_sweep", replace(cfg, gamma=float(gamma)))
+                   for gamma in gammas]
+    except OverflowError:
+        raise ContractError("gamma_sweep entry beyond float range") from None
     configs = sorted(dict.fromkeys(gcfg for _, gcfg in groups),
                      key=lambda gcfg: -gcfg.guided_steps)
     items = [configs.index(gcfg) for _, gcfg in groups]

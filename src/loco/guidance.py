@@ -57,7 +57,6 @@ __all__ = [
     "guided_sample",
     "lac_loss",
     "loco_loss",
-    "object_attention",
     "object_maps",
     "ptc_loss",
     "ptc_maps",
@@ -125,12 +124,6 @@ def _phrase_selector(phrases: Sequence[Phrase], n: int) -> np.ndarray:
     return sel
 
 
-def object_attention(attn: Var, phrase: Phrase) -> Var:
-    """One object's attention map as a (q, 1) tape variable."""
-    sel = _phrase_selector((phrase,), attn.shape[1])
-    return dm.matmul(attn, attn.tape.constant(sel))
-
-
 def _check_array(value, name: str) -> None:
     """Raise ``ShapeError`` unless value is an ``np.ndarray``."""
     if not isinstance(value, np.ndarray):
@@ -139,10 +132,13 @@ def _check_array(value, name: str) -> None:
 
 
 def _check_attention(attn: np.ndarray) -> None:
-    """Reject attention that is not a finite 2-D (q, n) array."""
+    """Reject attention that is not a finite 2-D (q, n) array of integers
+    or floats."""
     _check_array(attn, "attention")
     if attn.ndim != 2:
         raise ShapeError(f"attention of shape {attn.shape} is not (q, n)")
+    if attn.dtype.kind not in "iuf":
+        raise ContractError(f"attention must be int or float, not {attn.dtype}")
     if not np.isfinite(attn).all():
         raise ContractError("attention has non-finite entries")
 

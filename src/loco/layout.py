@@ -61,10 +61,6 @@ class BoundingBox:
             raise LayoutError(f"box needs y0 < y1, got [{self.y0}, {self.y1}]")
 
     @property
-    def center(self) -> tuple[float, float]:
-        return (self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0
-
-    @property
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
@@ -221,7 +217,7 @@ def _rasterize(boxes: Sequence[BoundingBox], resolution: int) -> np.ndarray:
     masks = (inside[:, 1, :, None] & inside[:, 0, None]).reshape(len(edges), -1)
     masks = masks.astype(np.float64)
     empty = ~inside.any(2).all(1)
-    if empty.any():  # snap to the cell of the center, as BoundingBox.center
+    if empty.any():  # snap to the cell holding the box's center
         c, r = np.minimum(((edges[:, :2] + edges[:, 2:]) / 2.0 * resolution)
                           .astype(np.int64), resolution - 1).T
         masks[empty, (r * resolution + c)[empty]] = 1.0

@@ -7,8 +7,8 @@ from math import sqrt
 
 from loco.backbone import (BackboneConfig, LatentState, _sigmas,
                            build_projections, cross_attention, denoise_step,
-                           effective_noise, embed_tokens, expected_latent_rms,
-                           init_latent, noise_scale, tokenize, value_matrix)
+                           embed_tokens, expected_latent_rms, init_latent,
+                           noise_scale, tokenize, value_matrix)
 from loco.diffmath import ContractError, ShapeError, Tape
 from loco.guidance import GuidanceConfig, guided_sample
 from loco.layout import parse_layout
@@ -215,20 +215,20 @@ def test_effective_noise_triggers_only_out_of_range():
     z_ok = np.full((4, 4), 0.1)
     z_hot = np.full((4, 4), 5.0)
     base = noise_scale(CFG, 40)
-    assert effective_noise(CFG, 40, z_ok, expected_rms=0.1) == base
-    assert effective_noise(CFG, 40, z_hot, expected_rms=0.1) > base
+    assert _sigmas(CFG, 40, z_ok, expected_rms=0.1) == [base]
+    assert _sigmas(CFG, 40, z_hot, expected_rms=0.1)[0] > base
 
 
 def test_effective_noise_gives_each_item_of_a_stack_its_own_sigma():
     rng = np.random.default_rng(0)
     scales = np.array([0.01, 0.1, 1.0, 10.0, 100.0])[:, None, None]
     z = rng.standard_normal((5, CFG.q, CFG.d_z)) * scales
-    sigma = effective_noise(CFG, 30, z, expected_rms=0.5)
+    sigma = _sigmas(CFG, 30, z, expected_rms=0.5)
     # Each item's sigma is its latent's alone, bit for bit.
-    assert sigma.shape == (5,) and sigma.tolist() == [
-        float(effective_noise(CFG, 30, item, expected_rms=0.5)) for item in z]
+    assert sigma == [
+        _sigmas(CFG, 30, item, expected_rms=0.5)[0] for item in z]
     # The per-latent formula, one Python float at a time. np.mean adds the
-    # squares pairwise and effective_noise as one contraction, in another
+    # squares pairwise and _sigmas as one contraction, in another
     # order: on these latents the sigmas differ by at most 7.4e-16 relative.
     want = [noise_scale(CFG, 30) * (1.0 + CFG.ood_noise_gain * max(
                 0.0, float(np.sqrt(np.mean(item * item))) / 0.5 - CFG.ood_slack))
@@ -236,22 +236,15 @@ def test_effective_noise_gives_each_item_of_a_stack_its_own_sigma():
     assert np.allclose(sigma, want, rtol=1e-15, atol=0.0)
     assert sigma[0] == noise_scale(CFG, 30) < sigma[-1]
     z[1, 0, 0] = np.nan
-    assert np.isnan(effective_noise(CFG, 30, z, expected_rms=0.5)).tolist() \
+    assert np.isnan(_sigmas(CFG, 30, z, expected_rms=0.5)).tolist() \
         == [False, True, False, False, False]
-
-
-def test_effective_noise_of_a_single_latent_is_a_0d_array():
-    z = np.full((CFG.q, CFG.d_z), 0.1)
-    sigma = effective_noise(CFG, 40, z, expected_rms=0.1)
-    assert isinstance(sigma, np.ndarray) and sigma.shape == ()
-    assert float(sigma) == noise_scale(CFG, 40)
 
 
 def test_an_infinite_latent_gets_an_infinite_sigma():
     z = np.full((3, 4, 4), 0.1)
     z[2, 1, 3] = np.inf
-    sigma = effective_noise(CFG, 40, z, expected_rms=0.1)
-    assert sigma.tolist() == [noise_scale(CFG, 40)] * 2 + [np.inf]
+    sigma = _sigmas(CFG, 40, z, expected_rms=0.1)
+    assert sigma == [noise_scale(CFG, 40)] * 2 + [np.inf]
 
 
 def _einsum_sigmas(t, z, expected_rms):
@@ -280,12 +273,6 @@ def test_screened_sigmas_equal_the_einsum_formula_near_the_slack(b):
             assert np.array_equal(_sigmas(CFG, t, z, expected),
                                   _einsum_sigmas(t, z, expected),
                                   equal_nan=True)
-            # In float32 the dot and the einsum round apart by far more than
-            # float64's margin, so such a stack is not screened.
-            z32 = z.astype(np.float32)
-            assert np.array_equal(_sigmas(CFG, t, z32, expected),
-                                  _einsum_sigmas(t, z32, expected),
-                                  equal_nan=True)
 
 
 def test_a_huge_expected_rms_gives_the_plain_schedule():
@@ -293,8 +280,8 @@ def test_a_huge_expected_rms_gives_the_plain_schedule():
     # range, and an infinite one still gets an infinite sigma.
     z = np.full((2, CFG.q, CFG.d_z), 0.1)
     z[1, 0, 0] = np.inf
-    sigma = effective_noise(CFG, 30, z, expected_rms=1e200)
-    assert sigma.tolist() == [noise_scale(CFG, 30), np.inf]
+    sigma = _sigmas(CFG, 30, z, expected_rms=1e200)
+    assert sigma == [noise_scale(CFG, 30), np.inf]
 
 
 def test_expected_latent_rms_path():

@@ -137,6 +137,34 @@ def test_non_finite_attention_raises_contract_error(reader, bad):
         ATTENTION_READERS[reader](np.full((256, 5), np.nan))
 
 
+@pytest.mark.parametrize("reader", ATTENTION_READERS)
+@pytest.mark.parametrize("dtype", [object, str, complex, bool])
+def test_attention_that_is_not_int_or_float_raises_contract_error(reader,
+                                                                  dtype):
+    """An object or string array once ended in a raw TypeError, a complex
+    one decoded to complex masses, and a bool one read as 0/1 attention."""
+    values = boxed_attention(LAYOUT).astype(dtype)
+    with pytest.raises(ContractError, match="must be int or float"):
+        ATTENTION_READERS[reader](values)
+
+
+def test_decode_rejects_a_grid_of_zero_cells():
+    """A (0, n) array once ended in a raw IndexError."""
+    with pytest.raises(ShapeError, match="square grid"):
+        decode_labels(np.zeros((0, 5)), LAYOUT)
+
+
+def test_layout_metrics_rejects_a_grid_of_zero_cells():
+    with pytest.raises(ShapeError, match="square grid"):
+        layout_metrics([], LAYOUT, np.zeros((0, 5)))
+
+
+def test_detect_rejects_a_grid_of_zero_cells():
+    """A (0, 0) grid once ended in a raw ValueError from the labeller."""
+    with pytest.raises(ShapeError, match="square grid"):
+        detect_regions(np.zeros((0, 0), dtype=np.int64))
+
+
 def test_decode_reads_the_grid_side_from_the_rows():
     values = boxed_attention(LAYOUT)[:64]  # the first 4 rows of the 16x16 grid
     assert decode_labels(values, LAYOUT).shape == (8, 8)
@@ -651,6 +679,15 @@ def test_benchmark_rejects_bad_gamma_sweep(sweep):
     with pytest.raises(ContractError, match="gamma_sweep"):
         run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
                       seeds=[0], gamma_sweep=sweep)
+
+
+@pytest.mark.parametrize("gamma", [10 ** 400, -10 ** 400],
+                         ids=["1e400", "-1e400"])
+def test_benchmark_rejects_a_gamma_beyond_float_range(gamma):
+    """float() of such an int once raised a raw OverflowError."""
+    with pytest.raises(ContractError, match="gamma_sweep"):
+        run_benchmark(_mini_suite(), GuidanceConfig(), BackboneConfig(),
+                      seeds=[0], gamma_sweep=[5, gamma])
 
 
 def test_benchmark_draws_the_noise_once_per_seed_and_timestep(monkeypatch):

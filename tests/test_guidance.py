@@ -12,10 +12,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from loco.backbone import (BackboneConfig, LatentState, Seeds,
+from loco.backbone import (BackboneConfig, LatentState, Seeds, _sigmas,
                            build_projections, cross_attention, denoise_step,
-                           effective_noise, embed_tokens, expected_latent_rms,
-                           init_latent, value_matrix)
+                           embed_tokens, expected_latent_rms, init_latent,
+                           value_matrix)
 from loco import diffmath as dm
 from loco.diffmath import ContractError, Tape
 from loco.evaluate import ARMS, arm_config, run_benchmark
@@ -26,10 +26,9 @@ from loco.guidance import (BCE_CLAMP, EPS, FD_STEP, GuidanceConfig, _Stack,
                            _noise_draws, _pcg64_states, _setup, _to_latent,
                            _trajectories,
                            gradient_check, guided_sample,
-                           lac_loss, loco_loss, object_attention,
-                           object_maps, ptc_loss, ptc_maps, schedule,
-                           update_latent)
-from loco.layout import Phrase, layout_from_dict, parse_layout, rasterize_box
+                           lac_loss, loco_loss, object_maps, ptc_loss,
+                           ptc_maps, schedule, update_latent)
+from loco.layout import layout_from_dict, parse_layout, rasterize_box
 from loco.suite import bundled_suite_dir, load_suite
 from oracles import central_difference, rel_error
 
@@ -97,32 +96,36 @@ def test_config_validation():
 def test_object_attention_single_token_is_column():
     rng = np.random.default_rng(0)
     values = rng.dirichlet(np.ones(7), size=256)
-    attn = make_attention(values)
     layout = parse_layout("""{
       "prompt": "cat beside dog",
       "objects": [{"phrase": "dog", "box": [0.5, 0.0, 1.0, 1.0]}]
     }""")
-    got = object_attention(attn, layout.phrases[0]).value[:, 0]
+    got = object_maps(values, layout)[0]
     assert np.allclose(got, values[:, 3], atol=1e-15)
 
 
 def test_object_attention_multi_token_mean():
     rng = np.random.default_rng(1)
     values = rng.dirichlet(np.ones(6), size=256)
-    attn = make_attention(values)
     layout = parse_layout("""{
       "prompt": "big red cat",
       "objects": [{"phrase": "red cat", "box": [0.0, 0.0, 1.0, 1.0]}]
     }""")
-    got = object_attention(attn, layout.phrases[0]).value[:, 0]
+    got = object_maps(values, layout)[0]
     expected = np.array([(values[p, 2] + values[p, 3]) / 2 for p in range(256)])
     assert np.allclose(got, expected, atol=1e-15)
 
-    same = make_attention(np.column_stack([values[:, 0], values[:, 1],
-                                           values[:, 1], values[:, 3],
-                                           values[:, 4], values[:, 5]]))
-    got_same = object_attention(same, Phrase("x x", (1, 2)))
-    assert np.allclose(got_same.value[:, 0], values[:, 1], atol=1e-15)
+    same = np.column_stack([values[:, 0], values[:, 1], values[:, 2],
+                            values[:, 2], values[:, 4], values[:, 5]])
+    assert np.allclose(object_maps(same, layout)[0], values[:, 2], atol=1e-15)
+
+
+def _tape_map(attn, phrase):
+    """One object's map as ``lac_loss`` records it on the tape, (q, 1): the
+    attention times the column that averages the phrase's tokens."""
+    column = np.zeros((attn.shape[1], 1))
+    column[list(phrase.span)] = 1.0 / len(phrase.span)
+    return dm.matmul(attn, attn.tape.constant(column))
 
 
 def test_object_maps_match_tape_maps():
@@ -138,7 +141,7 @@ def test_object_maps_match_tape_maps():
     maps = object_maps(values, layout)
     assert maps.shape == (2, 256)
     for i, phrase in enumerate(layout.phrases):
-        tape_map = object_attention(attn, phrase).value[:, 0]
+        tape_map = _tape_map(attn, phrase).value[:, 0]
         assert_values_close(maps[i], tape_map)
 
 
@@ -392,8 +395,8 @@ def _oracle_run(layout, cfg, seed):
             curve.append(breakdown)
         tape = Tape()
         attn = cross_attention(tape, tape.constant(state.z), tokens, proj)
-        sigma = effective_noise(BCFG, state.t, state.z,
-                                expected_latent_rms(BCFG, index, vrms))
+        sigma = _sigmas(BCFG, state.t, state.z,
+                        expected_latent_rms(BCFG, index, vrms))[0]
         state = denoise_step(state, attn.value, tokens, proj, BCFG.rho, sigma)
         latents.append(state.z)
     return latents, curve
@@ -1153,7 +1156,7 @@ def _tape_divisors(values, layout):
     eye = np.eye(values.shape[1])
     sot, eot = (dm.matmul(attn, attn.tape.constant(col))
                 for col in (eye[:, :1], eye[:, -1:]))
-    maps = [object_attention(attn, p) for p in layout.phrases]
+    maps = [_tape_map(attn, p) for p in layout.phrases]
     maps += [1.0 - sot, eot]
     return np.array([float(dm.maximum(dm.max_norm(m), EPS).value)
                      for m in maps])

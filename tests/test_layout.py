@@ -183,7 +183,7 @@ def center_rule_mask(box, resolution):
     mask = np.array([[box.x0 <= cx < box.x1 and box.y0 <= cy < box.y1
                       for cx in centers] for cy in centers], dtype=np.uint8)
     if not mask.any():
-        cx, cy = box.center
+        cx, cy = (box.x0 + box.x1) / 2.0, (box.y0 + box.y1) / 2.0
         mask[min(int(cy * resolution), resolution - 1),
              min(int(cx * resolution), resolution - 1)] = 1
     return mask
